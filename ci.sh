@@ -207,10 +207,10 @@ grep -q '"type":"bench","mode":"open"' target/bench/BENCH_loadgen.json \
 grep -q '"type":"timeline"' "$lg_timeline" \
     || { echo "loadgen smoke: daemon produced no timeline windows" >&2; exit 1; }
 
-echo "==> event-loop front end smoke (1k idle conns + mixed traffic, BENCH_evloop.json)"
+echo "==> evloop smoke (1k idle conns + mixed traffic, BENCH_evloop.json)"
 ev_log=target/bench/evloop_daemon.log
 ev_access=target/bench/evloop_access.jsonl
-./target/release/mosc-cli serve --obs=json --addr 127.0.0.1:0 --frontend evloop \
+./target/release/mosc-cli serve --obs=json --addr 127.0.0.1:0 \
     --access-log "$ev_access" >"$ev_log" 2>&1 &
 ev_pid=$!
 for _ in $(seq 1 50); do
@@ -237,8 +237,8 @@ grep -q '"type":"bench","mode":"open"' target/bench/BENCH_evloop.json \
     || { echo "evloop smoke: artifact missing the open-loop summary" >&2; exit 1; }
 grep -q '"idle_conns":1000' target/bench/BENCH_evloop.json \
     || { echo "evloop smoke: artifact does not record the held connections" >&2; exit 1; }
-# Deny-mode M06x-M11x over the event loop's access log: the new front end
-# must satisfy every serve/access/trace lint the threaded one does.
+# Deny-mode M06x-M11x over the access log of a daemon holding 1000 idle
+# connections: every serve/access/trace lint must still pass.
 ./target/release/mosc-cli analyze -D warnings "$ev_access" \
     || { echo "evloop smoke: access log failed the deny-mode lints" >&2; exit 1; }
 
@@ -339,7 +339,7 @@ batch_trace=$(sed -n 's/^trace \([0-9a-f]\{32\}\).*/\1/p' "$tb_err" | head -n 1)
 test -n "$batch_trace" || { echo "trace smoke: batch client printed no trace id" >&2; cat "$tb_err" >&2; exit 1; }
 # Force a deadline-exceeded anomaly: an already-expired deadline trips the
 # queued-deadline check, which snapshots the flight ring with reason
-# "deadline". The reader thread answers cache hits before the queue, so
+# "deadline". The I/O thread answers cache hits before the queue, so
 # the request carries a threads value no earlier request used — threads is
 # part of the cache key — guaranteeing a miss and a real enqueue.
 printf '%s\n' "{\"id\":\"tdl\",\"solver\":\"ao\",\"platform\":$smoke_platform,\"options\":{\"deadline_ms\":0,\"threads\":777}}" \

@@ -18,7 +18,7 @@
 //!   or `total_s` disagree with the corresponding timestamp differences.
 //! * `M093` — per-connection sequence numbers repeat, or receive times go
 //!   backwards as sequence numbers increase: one connection's lines are
-//!   read sequentially by one reader thread, so both are monotone.
+//!   read sequentially by the daemon's one I/O thread, so both are monotone.
 //!
 //! The `M120`-series checks the distributed-trace identity the v2 protocol
 //! threads through every artifact:
@@ -193,7 +193,7 @@ pub fn trace_lints(records: &[StreamRecord], report: &mut Report) {
                     format!("line {l1}"),
                     format!(
                         "connection {conn}: seq {s1} was received at {t1} s, before \
-                         seq {s0} at {t0} s — one reader thread reads a connection \
+                         seq {s0} at {t0} s — the I/O thread reads a connection \
                          in order"
                     ),
                 );

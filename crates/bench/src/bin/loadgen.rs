@@ -25,9 +25,8 @@
 //! (M100–M104) and `mosc-bench compare` diffs against a baseline.
 //!
 //! Without `--addr`, an in-process `mosc-serve` server is spun up on
-//! `127.0.0.1:0` — the self-contained smoke CI runs; `--frontend
-//! threads|evloop` picks its front end. With `--addr HOST:PORT` it drives
-//! a live daemon.
+//! `127.0.0.1:0` — the self-contained smoke CI runs. With `--addr
+//! HOST:PORT` it drives a live daemon.
 //!
 //! `--idle-conns N` opens N extra connections before the first run and
 //! holds them idle across every run — the many-mostly-quiet-clients regime
@@ -57,7 +56,7 @@ use mosc_bench::{csv_dir_from_args, Table};
 use mosc_core::{SolveOptions, SolverKind};
 use mosc_obs::Timeline;
 use mosc_serve::{
-    fresh_span_id, fresh_trace_id, BatchRequest, BatchVariantRequest, Frontend, Request, Server,
+    fresh_span_id, fresh_trace_id, BatchRequest, BatchVariantRequest, Request, Server,
     SolveRequest, TraceContext,
 };
 use std::fmt::Write as _;
@@ -483,11 +482,9 @@ struct Args {
     /// traffic) until after the last; every one must still answer a ping
     /// at the end or the generator exits nonzero.
     idle_conns: usize,
-    /// Front end for the in-process daemon (ignored with `--addr`).
-    frontend: Frontend,
-    /// File name of the artifact written under `--csv DIR`; the evloop CI
-    /// smoke writes `BENCH_evloop.json` so its baseline is gated apart
-    /// from the threaded-front-end `BENCH_loadgen.json`.
+    /// File name of the artifact written under `--csv DIR`; the
+    /// idle-connection CI smoke writes `BENCH_evloop.json` so its baseline
+    /// is gated apart from `BENCH_loadgen.json`.
     artifact: String,
 }
 
@@ -506,7 +503,6 @@ fn parse_args() -> Result<Args, String> {
         trace: false,
         trace_overhead: false,
         idle_conns: 0,
-        frontend: Frontend::default(),
         artifact: "BENCH_loadgen.json".to_owned(),
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -557,9 +553,6 @@ fn parse_args() -> Result<Args, String> {
                 out.idle_conns = value(&argv, i, "--idle-conns")?
                     .parse()
                     .map_err(|e| format!("--idle-conns: {e}"))?;
-            }
-            "--frontend" => {
-                out.frontend = value(&argv, i, "--frontend")?.parse()?;
             }
             "--artifact" => {
                 let name = value(&argv, i, "--artifact")?;
@@ -615,7 +608,7 @@ fn main() {
                  [--warmup S] [--conns N] [--process poisson|uniform] [--seed N] \
                  [--window S] [--sweep r1,r2,...] [--repeat-platform] [--trace] \
                  [--trace-overhead] [--idle-conns N] \
-                 [--frontend threads|evloop] [--csv DIR] [--artifact NAME.json]"
+                 [--csv DIR] [--artifact NAME.json]"
             );
             std::process::exit(2);
         }
@@ -629,11 +622,7 @@ fn main() {
     let (addr, server) = match &args.addr {
         Some(a) => (a.parse().expect("--addr HOST:PORT"), None),
         None => {
-            let server = Server::builder()
-                .addr("127.0.0.1:0")
-                .frontend(args.frontend)
-                .bind()
-                .expect("bind 127.0.0.1:0");
+            let server = Server::builder().addr("127.0.0.1:0").bind().expect("bind 127.0.0.1:0");
             let addr = server.local_addr();
             let handle = server.handle();
             let join = std::thread::spawn(move || server.run().expect("serve loop"));
@@ -668,9 +657,6 @@ fn main() {
     }
     if args.idle_conns > 0 {
         meta = meta.option("idle_conns", args.idle_conns);
-    }
-    if args.addr.is_none() {
-        meta = meta.option("frontend", args.frontend.to_string());
     }
     let mut log = BenchLog::new(&meta);
 

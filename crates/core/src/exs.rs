@@ -37,20 +37,6 @@ pub fn solve(platform: &Platform) -> Result<Solution> {
     solve_inner(platform, threads, None).map(|(s, _)| s)
 }
 
-/// Runs EXS with an explicit thread count (1 = the paper's sequential
-/// Algorithm 1; benchmarks use this to isolate algorithmic scaling from
-/// parallel speedup).
-///
-/// # Errors
-/// Propagates evaluation failures; flags infeasibility.
-#[deprecated(
-    since = "0.1.0",
-    note = "use mosc_core::solve(SolverKind::Exs, platform, &SolveOptions { threads, .. })"
-)]
-pub fn solve_with_threads(platform: &Platform, threads: usize) -> Result<Solution> {
-    solve_inner(platform, threads, None).map(|(s, _)| s)
-}
-
 /// The EXS engine behind both [`solve`] and the
 /// [`crate::solve`](crate::solve()) dispatcher: an explicit thread count, an
 /// optional wall-clock deadline, and the evaluated-assignment count for

@@ -1,16 +1,10 @@
 //! Pin: the unified `mosc_core::solve` dispatcher must return exactly what
-//! the old per-module entry points returned — same schedules, same
-//! feasibility stamps, same statistics — so callers can migrate without a
-//! behavioral diff. The deprecated shims are exercised deliberately here;
-//! this test is their one remaining caller.
-
-#![allow(deprecated)]
+//! the per-module entry points return — same schedules, same feasibility
+//! stamps — and fill in the search statistics.
 
 use mosc_core::ao::{self, AoOptions};
 use mosc_core::pco::{self, PcoOptions};
-use mosc_core::{
-    exs, exs_bnb, lns, solve, Platform, PlatformSpec, Solution, SolveOptions, SolverKind,
-};
+use mosc_core::{exs, lns, solve, Platform, PlatformSpec, Solution, SolveOptions, SolverKind};
 
 fn platform() -> Platform {
     Platform::build(&PlatformSpec::paper(1, 3, 2, 55.0)).unwrap()
@@ -48,24 +42,28 @@ fn dispatcher_matches_lns() {
 }
 
 #[test]
-fn dispatcher_matches_the_deprecated_exs_entry_points() {
+fn dispatcher_matches_exs() {
     let p = platform();
     let new = solve(SolverKind::Exs, &p, &SolveOptions { threads: 2, ..quick_opts() }).unwrap();
-    let old = exs::solve_with_threads(&p, 2).unwrap();
+    let old = exs::solve(&p).unwrap();
     assert_same(SolverKind::Exs, &new.solution, &old);
-    // EXS enumerates the full space: 3 cores x 2 levels = 8 assignments.
+    // EXS enumerates the full space: 2 levels ^ 3 cores = 8 assignments.
     assert_eq!(new.stats.explored, 8);
 }
 
 #[test]
-fn dispatcher_matches_the_deprecated_bnb_entry_point() {
+fn dispatcher_bnb_reaches_the_exs_optimum_and_reports_its_search() {
     let p = platform();
-    let new = solve(SolverKind::ExsBnb, &p, &quick_opts()).unwrap();
-    let (old, old_stats) = exs_bnb::solve(&p).unwrap();
-    assert_same(SolverKind::ExsBnb, &new.solution, &old);
-    assert_eq!(new.stats.explored, old_stats.visited);
-    assert_eq!(new.stats.thermal_prunes, old_stats.thermal_prunes);
-    assert_eq!(new.stats.throughput_prunes, old_stats.throughput_prunes);
+    let bnb = solve(SolverKind::ExsBnb, &p, &quick_opts()).unwrap();
+    let exs = solve(SolverKind::Exs, &p, &quick_opts()).unwrap();
+    assert_eq!(bnb.solution.feasible, exs.solution.feasible);
+    assert!((bnb.solution.throughput - exs.solution.throughput).abs() < 1e-12);
+    assert!((bnb.solution.peak - exs.solution.peak).abs() < 1e-12);
+    // The search statistics map through from the engine: of the 15 tree
+    // nodes, 7 are expanded, one subtree falls to the thermal bound and two
+    // to the throughput bound.
+    let s = bnb.stats;
+    assert_eq!((s.explored, s.thermal_prunes, s.throughput_prunes), (7, 1, 2), "{s:?}");
 }
 
 #[test]

@@ -1,25 +1,29 @@
-//! The event-loop front end: one nonblocking I/O thread owns every client
-//! socket, multiplexed through [`crate::poller::Poller`], while the same
-//! worker pool as the threaded front end executes solves behind it.
+//! The daemon's front end: one nonblocking I/O thread owns every client
+//! socket, multiplexed through [`crate::poller::Poller`], while the worker
+//! pool executes solves behind it.
 //!
 //! ## Connection state machine
 //!
 //! Each accepted socket becomes a [`Conn`] that moves bytes through four
 //! stages: **read** (fill `rbuf` until `WouldBlock`), **reassemble**
-//! (split `rbuf` on `\n`; a trailing fragment is dispatched at EOF, which
-//! is exactly `BufRead::read_line`'s behavior on the threaded front end),
-//! **dispatch** (each non-empty line goes through the shared
-//! [`handle_line`], synchronously for protocol ops and cache hits,
-//! asynchronously via the worker queue for solves), and **write** (framed
-//! response lines from the [`Outbox`] are appended to `wbuf` and flushed
-//! while the socket accepts them, with write interest registered only
-//! while a backlog exists).
+//! (split `rbuf` on `\n`;
+//! a trailing fragment is dispatched at EOF, `BufRead::read_line`'s
+//! behavior), **dispatch** (each non-empty line goes through
+//! [`handle_line`]), and **write** (framed response lines are appended to
+//! `wbuf` and flushed while the socket accepts them, with write interest
+//! registered only while a backlog exists).
+//!
+//! Answers reach `wbuf` two ways. Those the I/O thread makes itself —
+//! parse errors, protocol ops, cache hits, `overloaded` — come back from
+//! [`handle_line`] and are appended in place, so a cache hit never touches
+//! the outbox or the wake socket. Solves go to the worker queue, and their
+//! answers come back through the [`Outbox`].
 //!
 //! Accounting closes a connection at the right moment without tracking
-//! request identity: [`handle_line`] guarantees exactly one response line
-//! per non-empty request line, so `dispatched == responded && wbuf empty`
-//! means the connection is fully answered. EOF plus that condition —
-//! or a fatal socket error at any point — retires the `Conn`.
+//! request identity: [`handle_line`] and the workers guarantee exactly one
+//! response line per non-empty request line, so `dispatched == responded
+//! && wbuf empty` means the connection is fully answered. EOF plus that
+//! condition — or a fatal socket error at any point — retires the `Conn`.
 //!
 //! ## Backpressure
 //!
@@ -43,12 +47,12 @@
 //!
 //! The wire `shutdown` op (or [`crate::ServeHandle::shutdown`]) sets the
 //! shared flag and pokes the listener with a throwaway connect. The loop
-//! then closes the worker queue (drain-then-exit, same as the threaded
-//! front end), deregisters the listener, stops reading, and keeps flushing
-//! until every dispatched line has its response delivered.
+//! then closes the worker queue (drain-then-exit), deregisters the
+//! listener, stops reading, and keeps flushing until every dispatched line
+//! has its response delivered.
 
 use crate::poller::{Interest, PollEvent, Poller, Token};
-use crate::server::{handle_line, ConnWriter, Shared};
+use crate::server::{handle_line, Reply, Shared};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -74,10 +78,10 @@ const TOKEN_WAKE: Token = 1;
 const CONN_BASE: Token = 2;
 
 /// Completed responses in flight from worker threads to the I/O thread.
-/// Framed (newline-terminated) lines, tagged with the connection they
-/// answer; pushing wakes the loop if it is parked.
+/// Framed lines, tagged with the connection they answer; pushing wakes the
+/// loop if it is parked.
 pub(crate) struct Outbox {
-    queue: Mutex<VecDeque<(u64, String)>>,
+    queue: Mutex<VecDeque<(u64, Reply)>>,
     /// Collapses wake bytes: set by the first push after a drain, cleared
     /// by the loop before it drains.
     wake_pending: AtomicBool,
@@ -94,8 +98,8 @@ impl Outbox {
     }
 
     /// Queues one framed response line for `conn` and wakes the loop.
-    pub(crate) fn push(&self, conn: u64, framed: String) {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner).push_back((conn, framed));
+    pub(crate) fn push(&self, conn: u64, reply: Reply) {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner).push_back((conn, reply));
         if !self.wake_pending.swap(true, Ordering::SeqCst) {
             // A failed write means the wake pipe's buffer already holds
             // unread bytes, which is itself a pending wake.
@@ -105,7 +109,7 @@ impl Outbox {
 
     /// Takes the whole pending batch. Callers clear `wake_pending` first;
     /// see the module docs for why that order cannot lose a wake.
-    fn drain(&self) -> VecDeque<(u64, String)> {
+    fn drain(&self) -> VecDeque<(u64, Reply)> {
         std::mem::take(&mut *self.queue.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
@@ -122,8 +126,8 @@ struct Conn {
     wpos: usize,
     /// Next per-connection sequence number (batch lines consume several).
     seq: u64,
-    /// Non-empty lines handed to `handle_line` / response lines received
-    /// back. Equal ⇒ nothing is in flight for this connection.
+    /// Non-empty lines handed to `handle_line` / response lines appended to
+    /// `wbuf`. Equal ⇒ nothing is in flight for this connection.
     dispatched: u64,
     responded: u64,
     last_activity: Instant,
@@ -134,7 +138,6 @@ struct Conn {
     dead: bool,
     /// Interest currently registered with the poller.
     interest: Interest,
-    writer: ConnWriter,
 }
 
 impl Conn {
@@ -174,8 +177,8 @@ pub(crate) fn run(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
         if !draining && shared.shutdown.load(Ordering::SeqCst) {
             draining = true;
             poller.deregister(listener.as_raw_fd());
-            // Same drain semantics as the threaded front end: everything
-            // already queued gets a response, nothing new is read.
+            // Everything already queued gets a response; nothing new is
+            // read.
             shared.queue.close();
         }
         if draining && conns.is_empty() {
@@ -190,7 +193,7 @@ pub(crate) fn run(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
             match ev.token {
                 TOKEN_LISTENER => {
                     if !draining {
-                        accept_ready(listener, shared, &mut poller, &mut conns, &outbox, now);
+                        accept_ready(listener, shared, &mut poller, &mut conns, now);
                     }
                 }
                 TOKEN_WAKE => {
@@ -210,7 +213,7 @@ pub(crate) fn run(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
                         continue;
                     }
                     if ev.readable && !draining {
-                        read_ready(c, id, shared, &mut scratch, now);
+                        read_ready(c, id, shared, &outbox, &mut scratch, now);
                     }
                     if ev.writable {
                         flush(c);
@@ -223,12 +226,12 @@ pub(crate) fn run(listener: &TcpListener, shared: &Shared) -> io::Result<()> {
         // Clear-then-drain: a push racing this drain either joins the
         // batch or leaves a fresh wake byte behind.
         outbox.wake_pending.store(false, Ordering::SeqCst);
-        for (id, framed) in outbox.drain() {
-            // A retired connection's late responses are dropped, like the
-            // threaded front end's failed write to a gone client.
+        for (id, reply) in outbox.drain() {
+            // A retired connection's late responses are dropped: the
+            // client is gone.
             if let Some(c) = conns.get_mut(&id) {
                 c.responded += 1;
-                c.wbuf.extend_from_slice(framed.as_bytes());
+                c.wbuf.extend_from_slice(reply.as_bytes());
             }
         }
 
@@ -278,7 +281,6 @@ fn accept_ready(
     shared: &Shared,
     poller: &mut Poller,
     conns: &mut HashMap<u64, Conn>,
-    outbox: &Arc<Outbox>,
     now: Instant,
 ) {
     loop {
@@ -291,8 +293,8 @@ fn accept_ready(
         if stream.set_nonblocking(true).is_err() {
             continue;
         }
-        // Same rationale as the threaded front end: responses are single
-        // small writes, so Nagle + delayed ACK would serialize latency.
+        // Responses are single small writes; Nagle + delayed ACK would add
+        // tens of milliseconds per request on an otherwise idle link.
         let _ = stream.set_nodelay(true);
         let id = shared.conns.fetch_add(1, Ordering::Relaxed) + 1;
         if poller.register(stream.as_raw_fd(), id + CONN_BASE, Interest::READ).is_err() {
@@ -312,15 +314,21 @@ fn accept_ready(
                 eof: false,
                 dead: false,
                 interest: Interest::READ,
-                writer: ConnWriter::Event { conn: id, outbox: outbox.clone() },
             },
         );
     }
 }
 
 /// Reads until `WouldBlock`/EOF, reassembles lines, dispatches each
-/// non-empty one through the shared [`handle_line`].
-fn read_ready(c: &mut Conn, id: u64, shared: &Shared, scratch: &mut [u8], now: Instant) {
+/// non-empty one through [`handle_line`].
+fn read_ready(
+    c: &mut Conn,
+    id: u64,
+    shared: &Shared,
+    outbox: &Arc<Outbox>,
+    scratch: &mut [u8],
+    now: Instant,
+) {
     loop {
         match c.stream.read(scratch) {
             Ok(0) => {
@@ -346,7 +354,7 @@ fn read_ready(c: &mut Conn, id: u64, shared: &Shared, scratch: &mut [u8], now: I
     }
     while let Some(pos) = c.rbuf.iter().position(|&b| b == b'\n') {
         let line: Vec<u8> = c.rbuf.drain(..=pos).collect();
-        dispatch(c, id, shared, &line);
+        dispatch(c, id, shared, outbox, &line);
         if c.dead {
             return;
         }
@@ -356,14 +364,14 @@ fn read_ready(c: &mut Conn, id: u64, shared: &Shared, scratch: &mut [u8], now: I
         // reassembly path matches it so a client that sends a final
         // request without `\n` and half-closes still gets its answer.
         let line = std::mem::take(&mut c.rbuf);
-        dispatch(c, id, shared, &line);
+        dispatch(c, id, shared, outbox, &line);
     }
 }
 
-/// Dispatches one reassembled line. Invalid UTF-8 kills the connection —
-/// the threaded front end's `read_line` surfaces the same bytes as an
-/// `InvalidData` read error, which also drops the connection.
-fn dispatch(c: &mut Conn, id: u64, shared: &Shared, line: &[u8]) {
+/// Dispatches one reassembled line and appends the answer when the I/O
+/// thread made it in place. Invalid UTF-8 kills the connection, as
+/// `read_line` would by failing with `InvalidData`.
+fn dispatch(c: &mut Conn, id: u64, shared: &Shared, outbox: &Arc<Outbox>, line: &[u8]) {
     let Ok(text) = std::str::from_utf8(line) else {
         c.dead = true;
         return;
@@ -373,7 +381,12 @@ fn dispatch(c: &mut Conn, id: u64, shared: &Shared, line: &[u8]) {
         return;
     }
     c.dispatched += 1;
-    c.seq += handle_line(trimmed, &c.writer, shared, Instant::now(), id, c.seq);
+    let (consumed, reply) = handle_line(trimmed, shared, outbox, Instant::now(), id, c.seq);
+    c.seq += consumed;
+    if let Some(reply) = reply {
+        c.responded += 1;
+        c.wbuf.extend_from_slice(reply.as_bytes());
+    }
 }
 
 /// Writes backlog until the socket stops accepting; compacts the buffer

@@ -15,19 +15,21 @@
 //!   cleanly through [`mosc_core::SolveOptions::deadline`];
 //! - graceful drain-then-exit on the `shutdown` op (a wire op stands in
 //!   for a signal handler);
-//! - two interchangeable front ends behind one worker pool: the original
-//!   thread-per-connection reader ([`Frontend::Threads`]) and a
-//!   nonblocking event loop ([`Frontend::Evloop`], unix-only) that holds
-//!   tens of thousands of connections on a single I/O thread (DESIGN.md
-//!   §16). Both produce byte-identical response streams, pinned by a
-//!   front-end equivalence proptest.
+//! - a nonblocking event loop in front of the worker pool: one I/O thread
+//!   holds tens of thousands of connections and answers protocol ops and
+//!   cache hits in place (DESIGN.md §16). Its wire behavior is pinned by a
+//!   golden transcript in the workspace's root `tests/serve.rs`.
+//!
+//! Serving is unix-only (epoll on Linux, poll(2) on other unix): the
+//! [`Server`] and its builder exist only there. The wire protocol types
+//! ([`proto`], [`cache`], [`queue`]) build everywhere, so clients do too.
 //!
 //! The wire protocol is versioned: clients may open with a `hello` op to
 //! negotiate a protocol version and discover supported ops (see
 //! [`proto`]); v1 is today's line set, and unknown ops get a structured
 //! `unsupported` error instead of a dropped connection.
 //!
-//! Run it as `mosc-cli serve --addr 127.0.0.1:7070 --frontend evloop`, or
+//! Run it as `mosc-cli serve --addr 127.0.0.1:7070`, or
 //! embed it via [`Server::builder`] ([`ServeBuilder`]) as the loopback
 //! tests do.
 //!
@@ -44,18 +46,21 @@
 pub mod cache;
 #[cfg(unix)]
 mod evloop;
+#[cfg(unix)]
 mod metrics;
 #[cfg(unix)]
 mod poller;
 pub mod proto;
 pub mod queue;
+#[cfg(unix)]
 pub mod server;
 
 pub use cache::{cache_key, cache_key_parts, CacheKey, CachedSolve, LruCache};
 pub use proto::{
     fresh_span_id, fresh_trace_id, negotiate_version, parse_request, BatchRequest, BatchResponse,
-    BatchVariantRequest, ErrorKind, HelloResponse, Request, Response, SolveRequest, SolveResponse,
-    TraceContext, PROTO_VERSION_MAX, PROTO_VERSION_MIN,
+    BatchVariantRequest, ErrorKind, HelloResponse, Request, Response, ServeStats, SolveRequest,
+    SolveResponse, TraceContext, PROTO_VERSION_MAX, PROTO_VERSION_MIN,
 };
 pub use queue::{BoundedQueue, QueueFull};
-pub use server::{Frontend, ServeBuilder, ServeHandle, ServeOptions, ServeStats, Server};
+#[cfg(unix)]
+pub use server::{ServeBuilder, ServeHandle, Server};

@@ -46,7 +46,7 @@ pub(crate) type NamedSnapshot = (&'static str, HistoSnapshot, Vec<(usize, Exempl
 
 /// The three request phases measured per solve op.
 pub(crate) struct OpLatency {
-    /// Enqueue → dequeue (0 for reader-thread cache hits).
+    /// Enqueue → dequeue (0 for I/O-thread cache hits).
     pub queue_wait: LogHistogram,
     /// Dequeue → response written.
     pub service: LogHistogram,

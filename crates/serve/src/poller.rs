@@ -7,13 +7,13 @@
 //! itself. Two interchangeable backends sit behind the same [`Poller`]
 //! surface:
 //!
-//! * **epoll** (Linux, the default): interest is registered once per fd
-//!   with `epoll_ctl`, waits are O(ready). Level-triggered, matching the
-//!   event loop's "process until `WouldBlock`" read/write style.
-//! * **poll(2)** (every other unix, or Linux with the `poll-backend`
-//!   feature): the interest list is rebuilt into a `pollfd` array per
-//!   wait. O(fds) per wait, but fully portable — the fallback the tentpole
-//!   requires, and CI exercises it explicitly.
+//! * **epoll** (Linux): interest is registered once per fd with
+//!   `epoll_ctl`, waits are O(ready). Level-triggered, so the event loop
+//!   may leave bytes unread and still hear about them on the next wait.
+//! * **poll(2)** (every other unix): the interest list is rebuilt into a
+//!   `pollfd` array per wait. O(fds) per wait, but portable.
+//!
+//! The backend is chosen by `target_os` alone.
 //!
 //! All `unsafe` in the crate lives in the [`sys`] module below, one
 //! documented block per call.
@@ -56,11 +56,11 @@ pub(crate) struct PollEvent {
 /// nothing here retains pointers past the call.
 #[allow(unsafe_code)]
 mod sys {
-    #[cfg(any(not(target_os = "linux"), feature = "poll-backend"))]
+    #[cfg(not(target_os = "linux"))]
     pub(crate) use poll2::{poll_fds, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 
-    /// The poll(2) syscall; compiled only when the poll backend is.
-    #[cfg(any(not(target_os = "linux"), feature = "poll-backend"))]
+    /// The poll(2) syscall, for the backend off Linux.
+    #[cfg(not(target_os = "linux"))]
     mod poll2 {
         use std::io;
         use std::os::raw::c_int;
@@ -109,7 +109,7 @@ mod sys {
     }
 
     /// close(2); used for the epoll instance fd, which std never owns.
-    #[cfg(all(target_os = "linux", not(feature = "poll-backend")))]
+    #[cfg(target_os = "linux")]
     pub(crate) fn close_fd(fd: std::os::fd::RawFd) {
         use std::os::raw::c_int;
         extern "C" {
@@ -120,8 +120,8 @@ mod sys {
         let _ = unsafe { close(fd) };
     }
 
-    /// The epoll syscalls; compiled only when the epoll backend is.
-    #[cfg(all(target_os = "linux", not(feature = "poll-backend")))]
+    /// The epoll syscalls, for the Linux backend.
+    #[cfg(target_os = "linux")]
     pub(crate) mod epoll {
         use std::io;
         use std::os::fd::RawFd;
@@ -231,8 +231,8 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
     }
 }
 
-/// The epoll backend (Linux default).
-#[cfg(all(target_os = "linux", not(feature = "poll-backend")))]
+/// The epoll backend (Linux).
+#[cfg(target_os = "linux")]
 mod backend {
     use super::sys::epoll::{
         self, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP, EPOLL_CTL_ADD,
@@ -255,9 +255,12 @@ mod backend {
         }
 
         fn event(token: Token, interest: Interest) -> EpollEvent {
-            let mut events = EPOLLRDHUP;
+            // Peer half-close (RDHUP) is a read event: level-triggered, it
+            // would fire on every wait while a connection that already saw
+            // EOF waits for its answers, spinning the loop.
+            let mut events = 0;
             if interest.readable {
-                events |= EPOLLIN;
+                events |= EPOLLIN | EPOLLRDHUP;
             }
             if interest.writable {
                 events |= EPOLLOUT;
@@ -319,8 +322,8 @@ mod backend {
     }
 }
 
-/// The portable poll(2) backend.
-#[cfg(any(not(target_os = "linux"), feature = "poll-backend"))]
+/// The portable poll(2) backend (every other unix).
+#[cfg(not(target_os = "linux"))]
 mod backend {
     use super::sys::{PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
     use super::{sys, Interest, PollEvent, Token};
@@ -414,3 +417,31 @@ mod backend {
 }
 
 pub(crate) use backend::Poller;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::{Shutdown, TcpListener, TcpStream};
+    use std::os::fd::AsRawFd;
+
+    #[test]
+    fn a_half_closed_socket_without_read_interest_stays_quiet() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        client.write_all(b"x\n").expect("send");
+        client.shutdown(Shutdown::Write).expect("half-close");
+        let mut poller = Poller::new().expect("poller");
+        poller.register(server.as_raw_fd(), 7, Interest::READ).expect("register");
+        let mut events = Vec::new();
+        poller.wait(&mut events, Some(Duration::from_millis(100))).expect("wait");
+        assert!(events.iter().any(|e| e.token == 7 && e.readable), "{events:?}");
+        // Reading is over (EOF seen, answers pending): with neither read
+        // nor write interest the peer's half-close must not wake the loop.
+        let idle = Interest { readable: false, writable: false };
+        poller.modify(server.as_raw_fd(), 7, idle).expect("modify");
+        poller.wait(&mut events, Some(Duration::from_millis(50))).expect("wait");
+        assert!(events.is_empty(), "{events:?}");
+    }
+}

@@ -1,6 +1,6 @@
 //! A bounded MPMC queue with explicit backpressure.
 //!
-//! Readers `try_push` and never block: a full (or closed) queue hands the
+//! Producers `try_push` and never block: a full (or closed) queue hands the
 //! item straight back so the caller can answer `overloaded` instead of
 //! buffering unboundedly — load shedding at the edge, as the ISSUE's
 //! serving model requires. Workers `pop`, blocking on a condvar until work

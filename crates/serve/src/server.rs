@@ -1,46 +1,47 @@
-//! The TCP daemon: accept loop, reader threads, worker pool, drain.
+//! The TCP daemon: event-loop front end, worker pool, drain.
 //!
 //! Architecture (one box per thread kind):
 //!
 //! ```text
-//!   accept loop ──► reader thread per connection ──► bounded MPMC queue
-//!                   (parse, cache fast path,          │
-//!                    backpressure: overloaded)        ▼
-//!                                               fixed worker pool
-//!                                               (deadline check, solve,
-//!                                                cache fill, respond)
+//!   I/O thread (event loop) ──────────────► bounded MPMC queue
+//!   (accept, read, parse, answer ops,          │
+//!    cache hits and overloaded in place)       ▼
+//!        ▲                               fixed worker pool
+//!        │ outbox + wake byte            (deadline check, solve,
+//!        └─────────────────────────────── cache fill, respond)
 //! ```
 //!
-//! Responses are written through a per-connection `Mutex<TcpStream>` clone,
-//! so readers (cache hits, rejections) and workers (solve results) can both
-//! answer on the same socket without interleaving bytes.
+//! The I/O thread owns every socket (see `evloop`). Answers it makes itself
+//! go straight into the connection's write buffer; workers hand theirs back
+//! through the event loop's outbox, so no two threads ever write one socket.
 //!
 //! ## Request lifecycle timestamps
 //!
 //! Every request is stamped at the points DESIGN.md §12 names: `t_recv`
 //! (full line read), `t_enqueue` (queue push), `t_dequeue` (worker pop) and
-//! completion (response written). The derived phases feed the per-op
+//! completion (response recorded). The derived phases feed the per-op
 //! latency histograms and the access log:
 //!
-//! * `queue_wait = t_dequeue − t_enqueue` (0 for reader-thread answers),
-//! * `service   = done − t_dequeue` (platform build + solve + write),
+//! * `queue_wait = t_dequeue − t_enqueue` (0 for I/O-thread answers),
+//! * `service   = done − t_dequeue` (platform build + solve),
 //! * `total     = done − t_recv`.
 //!
 //! All three come from one monotone clock, so
 //! `queue_wait + service ≤ total` always holds (the M070 lint checks it on
-//! the access log). When [`ServeOptions::access_log`] is set, every
+//! the access log). When [`ServeBuilder::access_log`] is set, every
 //! completed request appends one JSONL line; requests whose `total` is at
-//! least [`ServeOptions::slow_threshold`] additionally carry the solver's
+//! least [`ServeBuilder::slow_threshold`] additionally carry the solver's
 //! span tree captured via [`mosc_obs::TraceContext`].
 //!
-//! Shutdown is a protocol op, not a signal: the workspace forbids `unsafe`,
-//! so no signal handler can be installed, and `{"op":"shutdown"}` plays the
-//! role SIGTERM would. On shutdown the daemon stops accepting connections
-//! and new requests, closes the queue, lets the workers drain every queued
-//! job (each still gets its response), and joins all threads before
-//! returning from [`Server::run`].
+//! Shutdown is a protocol op, not a signal: the workspace forbids `unsafe`
+//! outside the poller, so no signal handler is installed, and
+//! `{"op":"shutdown"}` plays the role SIGTERM would. On shutdown the daemon
+//! stops accepting connections and new requests, closes the queue, lets the
+//! workers drain every queued job (each still gets its response), and joins
+//! all threads before returning from [`Server::run`].
 
 use crate::cache::{cache_key, cache_key_parts, fnv1a, CacheKey, CachedSolve, LruCache};
+use crate::evloop::Outbox;
 use crate::metrics::ServeMetrics;
 use crate::proto::{
     batch_response_to_json, canonical_json, error_to_json, fresh_span_id, fresh_trace_id,
@@ -54,7 +55,7 @@ use mosc_obs::{
     bucket_upper, FlightKind, FlightRecorder, TraceContext, TraceSnapshot, LOG_BUCKETS,
 };
 use std::fs::File;
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -62,48 +63,9 @@ use std::time::{Duration, Instant};
 
 pub use crate::proto::ServeStats;
 
-/// How long a blocked reader waits before re-checking the shutdown flag.
-/// This bounds the drain latency contributed by idle connections.
-const READ_POLL: Duration = Duration::from_millis(200);
-
-/// Which connection-handling front end drives the worker pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Frontend {
-    /// One reader thread per connection (the original front end). Simple
-    /// and fine for tens of clients; each connection costs a thread.
-    #[default]
-    Threads,
-    /// A single nonblocking I/O thread owning every socket (epoll on
-    /// Linux, poll(2) elsewhere or with the `poll-backend` feature).
-    /// Holds tens of thousands of connections; bit-compatible with
-    /// [`Frontend::Threads`] on the wire.
-    Evloop,
-}
-
-impl std::str::FromStr for Frontend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threads" => Ok(Self::Threads),
-            "evloop" => Ok(Self::Evloop),
-            other => Err(format!("unknown frontend '{other}' (expected 'threads' or 'evloop')")),
-        }
-    }
-}
-
-impl std::fmt::Display for Frontend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::Threads => "threads",
-            Self::Evloop => "evloop",
-        })
-    }
-}
-
-/// Daemon configuration.
+/// Daemon configuration, assembled by [`ServeBuilder`].
 #[derive(Debug, Clone)]
-pub struct ServeOptions {
+pub(crate) struct ServeOptions {
     /// Listen address, e.g. `127.0.0.1:7070` (`:0` picks a free port).
     pub addr: String,
     /// Worker threads solving queued requests (`0` = all available cores).
@@ -129,8 +91,6 @@ pub struct ServeOptions {
     pub timeline: Option<String>,
     /// Width of one timeline window.
     pub timeline_window: Duration,
-    /// Which connection-handling front end to run.
-    pub frontend: Frontend,
     /// Close connections that have been idle (no bytes received, no
     /// responses pending) for this long. `None` keeps them forever — the
     /// historical behavior, and the default.
@@ -159,7 +119,6 @@ impl Default for ServeOptions {
             slow_threshold: Duration::from_millis(100),
             timeline: None,
             timeline_window: Duration::from_secs(1),
-            frontend: Frontend::Threads,
             idle_timeout: None,
             flight_dump: None,
             flight_capacity: mosc_obs::DEFAULT_FLIGHT_CAPACITY,
@@ -170,12 +129,11 @@ impl Default for ServeOptions {
 /// Fluent configuration for a [`Server`]: the blessed construction API.
 ///
 /// ```no_run
-/// use mosc_serve::{Frontend, Server};
+/// use mosc_serve::Server;
 /// use std::time::Duration;
 ///
 /// let server = Server::builder()
 ///     .addr("127.0.0.1:0")
-///     .frontend(Frontend::Evloop)
 ///     .workers(4)
 ///     .queue_capacity(256)
 ///     .cache_capacity(1024)
@@ -190,7 +148,9 @@ pub struct ServeBuilder {
 }
 
 impl ServeBuilder {
-    /// Starts from [`ServeOptions::default`].
+    /// Starts from the defaults: `127.0.0.1:7070`, one worker per core, a
+    /// 64-slot queue, a 128-entry cache, no deadline or idle timeout, and no
+    /// access log, timeline or flight dump.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -261,13 +221,6 @@ impl ServeBuilder {
         self
     }
 
-    /// Which connection-handling front end to run.
-    #[must_use]
-    pub fn frontend(mut self, frontend: Frontend) -> Self {
-        self.opts.frontend = frontend;
-        self
-    }
-
     /// Close connections idle (no bytes, no pending responses) this long.
     #[must_use]
     pub fn idle_timeout(mut self, timeout: Duration) -> Self {
@@ -289,13 +242,6 @@ impl ServeBuilder {
     pub fn flight_capacity(mut self, capacity: usize) -> Self {
         self.opts.flight_capacity = capacity;
         self
-    }
-
-    /// The assembled options (the builder's backing store), for callers
-    /// that need to inspect or persist the configuration.
-    #[must_use]
-    pub fn options(&self) -> &ServeOptions {
-        &self.opts
     }
 
     /// Binds the listen socket and creates the configured sinks; the
@@ -349,7 +295,8 @@ pub(crate) struct Job {
     /// consumes one seq per variant (variant `i` logs as `seq + i`), so the
     /// per-connection sequence stays collision-free for the M093 lint.
     seq: u64,
-    writer: ConnWriter,
+    /// Where the answer goes: the event loop's outbox, tagged with `conn`.
+    outbox: Arc<Outbox>,
     deadline_at: Option<Instant>,
     t_recv: Instant,
     t_enqueue: Instant,
@@ -364,48 +311,23 @@ enum Payload {
     Single(SolveRequest, CacheKey),
     /// Many variants of one shared platform. The second field is the
     /// canonical platform serialization — the interning-registry preimage —
-    /// computed once on the reader thread.
+    /// computed once on the I/O thread.
     Batch(BatchRequest, String),
 }
 
-/// Where a connection's response lines go. The worker pool is front-end
-/// agnostic: the threaded front end hands it a mutex-serialized socket
-/// clone, the event loop a handle into its completion outbox. Either way
-/// each response is framed as exactly one line and lands unfragmented.
-#[derive(Clone)]
-pub(crate) enum ConnWriter {
-    /// Threaded front end: write directly; the mutex keeps reader-thread
-    /// answers and worker answers from interleaving bytes.
-    Direct(Arc<Mutex<TcpStream>>),
-    /// Event-loop front end: queue the framed line for the I/O thread
-    /// (which owns the socket) and wake it.
-    #[cfg(unix)]
-    Event {
-        /// Which connection the line answers.
-        conn: u64,
-        /// The event loop's completion outbox.
-        outbox: Arc<crate::evloop::Outbox>,
-    },
-}
+/// One framed (newline-terminated) response line. Only [`respond_proto`]
+/// mints one, and only by spending a [`Stamped`] receipt, so every line
+/// that reaches a socket had its completion recorded first.
+pub(crate) struct Reply(String);
 
-impl ConnWriter {
-    /// Hands one framed (newline-terminated) response line to the socket.
-    /// Write errors mean the client went away; the daemon has nothing
-    /// useful to do about it.
-    fn write_line(&self, framed: String) {
-        match self {
-            Self::Direct(stream) => {
-                let mut stream = stream.lock().unwrap_or_else(PoisonError::into_inner);
-                let _ = stream.write_all(framed.as_bytes());
-            }
-            #[cfg(unix)]
-            Self::Event { conn, outbox } => outbox.push(*conn, framed),
-        }
+impl Reply {
+    /// The framed bytes, ready for the connection's write buffer.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        self.0.as_bytes()
     }
 }
 
-/// State shared by the front end (accept loop + readers, or the event
-/// loop) and the workers.
+/// State shared by the event loop and the workers.
 pub(crate) struct Shared {
     pub(crate) opts: ServeOptions,
     addr: SocketAddr,
@@ -508,17 +430,6 @@ impl Server {
         ServeBuilder::new()
     }
 
-    /// Binds the listen socket from a positional options struct.
-    ///
-    /// # Errors
-    /// I/O errors from binding, inspecting the socket, or creating the
-    /// access-log file.
-    #[deprecated(note = "construct through `Server::builder()` (ServeBuilder); \
-                the positional ServeOptions surface is frozen")]
-    pub fn bind(opts: ServeOptions) -> std::io::Result<Self> {
-        Self::bind_with(opts)
-    }
-
     /// Binds the listen socket and (when configured) creates the access
     /// log. The server only starts serving on [`run`](Self::run).
     fn bind_with(opts: ServeOptions) -> std::io::Result<Self> {
@@ -580,48 +491,6 @@ impl Server {
     /// Fatal accept-loop / event-loop I/O errors only; per-connection
     /// errors are contained to their connection.
     pub fn run(self) -> std::io::Result<()> {
-        match self.shared.opts.frontend {
-            Frontend::Threads => {
-                self.run_threads();
-                Ok(())
-            }
-            #[cfg(unix)]
-            Frontend::Evloop => self.run_evloop(),
-            #[cfg(not(unix))]
-            Frontend::Evloop => Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "the evloop frontend needs poll(2)/epoll and is unix-only",
-            )),
-        }
-    }
-
-    /// The original front end: blocking accept loop, one reader thread per
-    /// connection.
-    fn run_threads(self) {
-        let shared = &self.shared;
-        std::thread::scope(|scope| {
-            for _ in 0..shared.worker_count() {
-                scope.spawn(|| worker_loop(shared));
-            }
-            for stream in self.listener.incoming() {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                scope.spawn(|| handle_connection(stream, shared));
-            }
-            // Drain: no new work, workers finish what is queued, readers
-            // notice the flag within READ_POLL and exit.
-            shared.queue.close();
-        });
-        write_access_trailer(shared);
-        write_timeline_trailer(shared);
-    }
-
-    /// The event-loop front end: one nonblocking I/O thread owns every
-    /// socket; the same worker pool runs behind it.
-    #[cfg(unix)]
-    fn run_evloop(self) -> std::io::Result<()> {
         let shared = &self.shared;
         let result = std::thread::scope(|scope| {
             for _ in 0..shared.worker_count() {
@@ -642,9 +511,11 @@ impl Server {
 /// The worker side: pop, enforce the deadline, consult the cache, solve,
 /// respond. A panicking solve must not shrink the worker pool for the rest
 /// of the process lifetime, so each job runs under `catch_unwind`; a panic
-/// is recorded as a flight anomaly (with a ring dump) and the worker moves
-/// on. The poisoned-mutex consequences are already handled everywhere via
-/// `PoisonError::into_inner`.
+/// is recorded as a flight anomaly (with a ring dump), answered with an
+/// `internal` error, and the worker moves on. Every job gets exactly one
+/// answer either way — the event loop retires a connection only once each
+/// dispatched line is answered. The poisoned-mutex consequences are already
+/// handled everywhere via `PoisonError::into_inner`.
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
         let t_dequeue = Instant::now();
@@ -655,14 +526,52 @@ fn worker_loop(shared: &Shared) {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &job.payload {
                 Payload::Single(req, key) => process_job(shared, &job, req, key, t_dequeue),
                 Payload::Batch(req, canonical_platform) => {
-                    process_batch(shared, &job, req, canonical_platform, t_dequeue);
+                    process_batch(shared, &job, req, canonical_platform, t_dequeue)
                 }
             }));
-        if outcome.is_err() {
+        let reply = outcome.unwrap_or_else(|_| {
             flight_record(shared, FlightKind::Panic, job.trace, 0);
             flight_dump(shared, "panic");
-        }
+            answer_panic(shared, &job, t_dequeue)
+        });
+        job.outbox.push(job.conn, reply);
     }
+}
+
+/// The answer to a job whose processing panicked: one `internal` error line
+/// for the solve or the whole batch, recorded like any other completion and
+/// never cached.
+fn answer_panic(shared: &Shared, job: &Job, t_dequeue: Instant) -> Reply {
+    let (id, op, solver, key, batch) = match &job.payload {
+        Payload::Single(req, key) => {
+            (req.id.as_str(), "solve", Some(req.kind), Some(key.hash), None)
+        }
+        Payload::Batch(req, _) => {
+            (req.id.as_str(), "solve_batch", None, None, Some(req.id.as_str()))
+        }
+    };
+    let c = Completion {
+        id,
+        op,
+        solver,
+        status: "error",
+        cached: false,
+        conn: job.conn,
+        seq: job.seq,
+        key,
+        t_recv: job.t_recv,
+        t_enqueue: job.t_enqueue,
+        queue_wait: t_dequeue.saturating_duration_since(job.t_enqueue).as_secs_f64(),
+        service_start: t_dequeue,
+        deadline_at: job.deadline_at,
+        kernel: KernelDelta::default(),
+        trace: None,
+        batch,
+        ids: job.trace,
+    };
+    let stamped = record_completion(shared, &c, Instant::now());
+    let line = error_to_json(id, ErrorKind::Internal.id(), "the solver panicked");
+    respond(shared, id, &line, stamped)
 }
 
 /// Everything [`finish`] needs to close out one request: identity, timing
@@ -684,7 +593,7 @@ struct Completion<'a> {
     /// fills on it); `None` for protocol ops.
     key: Option<u64>,
     t_recv: Instant,
-    /// Queue-push time; reader-thread answers never queue, so it equals
+    /// Queue-push time; I/O-thread answers never queue, so it equals
     /// `t_recv` for them.
     t_enqueue: Instant,
     queue_wait: f64,
@@ -734,30 +643,29 @@ impl<'a> Completion<'a> {
 }
 
 /// Proof that [`record_completion`] ran for a request. The response
-/// writers ([`respond`], [`respond_proto`]) each consume one, so
-/// "stamp the histograms/timeline/access log, **then** write the bytes" is
-/// the only order the code can express. The guarantee this buys: a client
-/// that reads its response and immediately scrapes `stats`, `metrics`, or
-/// the access log is certain to see its own request already recorded —
-/// including the reader-thread cache-hit fast path, which used to make
-/// that ordering a per-call-site convention rather than a type invariant.
+/// writers ([`respond`], [`respond_proto`]) each consume one to mint the
+/// [`Reply`], so "stamp the histograms/timeline/access log, **then** write
+/// the bytes" is the only order the code can express. The guarantee this
+/// buys: a client that reads its response and immediately scrapes `stats`,
+/// `metrics`, or the access log is certain to see its own request already
+/// recorded — including the cache-hit fast path on the I/O thread.
 #[must_use = "a completion stamp exists to be spent on the response write"]
 struct Stamped(());
 
 /// Records the request's phase latencies into the per-op histograms,
-/// appends the access-log line, then writes the response. The single exit
+/// appends the access-log line, then frames the response. The single exit
 /// path for every request, so no completion can miss a histogram or log
 /// entry — and because recording happens *before* the bytes land, a client
 /// that reads its response and immediately scrapes `metrics` (or `stats`)
 /// is guaranteed to see its own request counted. The phases therefore
 /// exclude the socket write itself, which is microseconds against
 /// millisecond solves.
-fn finish(shared: &Shared, writer: &ConnWriter, line: &str, c: &Completion<'_>) {
+fn finish(shared: &Shared, line: &str, c: &Completion<'_>) -> Reply {
     let stamped = record_completion(shared, c, Instant::now());
     if c.solver.is_some() {
-        respond(shared, writer, c.id, line, stamped);
+        respond(shared, c.id, line, stamped)
     } else {
-        respond_proto(shared, writer, line, stamped);
+        respond_proto(shared, line, stamped)
     }
 }
 
@@ -1033,7 +941,13 @@ fn write_access_trailer(shared: &Shared) {
     write_access_line(access, &doc);
 }
 
-fn process_job(shared: &Shared, job: &Job, req: &SolveRequest, key: &CacheKey, t_dequeue: Instant) {
+fn process_job(
+    shared: &Shared,
+    job: &Job,
+    req: &SolveRequest,
+    key: &CacheKey,
+    t_dequeue: Instant,
+) -> Reply {
     let id = &req.id;
     let queue_wait = t_dequeue.saturating_duration_since(job.t_enqueue).as_secs_f64();
     let base = Completion {
@@ -1064,13 +978,11 @@ fn process_job(shared: &Shared, job: &Job, req: &SolveRequest, key: &CacheKey, t
                 shared.metrics.on_deadline_exceeded();
                 flight_record(shared, FlightKind::Deadline, job.trace, 0);
                 flight_dump(shared, "deadline");
-                finish(
+                return finish(
                     shared,
-                    &job.writer,
                     &error_to_json(id, "deadline", "deadline expired while queued"),
                     &Completion { status: "error", ..base },
                 );
-                return;
             }
         },
     };
@@ -1078,8 +990,7 @@ fn process_job(shared: &Shared, job: &Job, req: &SolveRequest, key: &CacheKey, t
     if let Some(hit) = shared.lock_cache().get(key) {
         shared.metrics.on_cache_hit();
         let line = render_ok(req, &hit, true);
-        finish(shared, &job.writer, &line, &Completion { cached: true, ..base });
-        return;
+        return finish(shared, &line, &Completion { cached: true, ..base });
     }
     shared.metrics.on_cache_miss();
 
@@ -1087,13 +998,11 @@ fn process_job(shared: &Shared, job: &Job, req: &SolveRequest, key: &CacheKey, t
     let platform = match mosc_analyze::platform_from_doc(&doc) {
         Ok(p) => p,
         Err(e) => {
-            finish(
+            return finish(
                 shared,
-                &job.writer,
                 &error_to_json(id, "usage", &e.to_string()),
                 &Completion { status: "error", ..base },
             );
-            return;
         }
     };
     let opts = SolveOptions { deadline: remaining, ..req.options };
@@ -1117,9 +1026,8 @@ fn process_job(shared: &Shared, job: &Job, req: &SolveRequest, key: &CacheKey, t
                     .as_micros() as u64;
                 flight_record(shared, FlightKind::Deadline, job.trace, late_us);
                 flight_dump(shared, "deadline");
-                finish(
+                return finish(
                     shared,
-                    &job.writer,
                     &error_to_json(id, "deadline", "deadline expired during solve"),
                     &Completion {
                         status: "error",
@@ -1128,7 +1036,6 @@ fn process_job(shared: &Shared, job: &Job, req: &SolveRequest, key: &CacheKey, t
                         ..base
                     },
                 );
-                return;
             }
             let cached = CachedSolve {
                 solver: req.kind,
@@ -1146,10 +1053,9 @@ fn process_job(shared: &Shared, job: &Job, req: &SolveRequest, key: &CacheKey, t
             }
             finish(
                 shared,
-                &job.writer,
                 &line,
                 &Completion { kernel: report.kernel, trace: Some(trace.snapshot()), ..base },
-            );
+            )
         }
         Err(e) => {
             let kind = ErrorKind::of_algo(&e);
@@ -1158,10 +1064,9 @@ fn process_job(shared: &Shared, job: &Job, req: &SolveRequest, key: &CacheKey, t
             }
             finish(
                 shared,
-                &job.writer,
                 &error_to_json(id, kind.id(), &e.to_string()),
                 &Completion { status: "error", trace: Some(trace.snapshot()), ..base },
-            );
+            )
         }
     }
 }
@@ -1186,7 +1091,7 @@ fn process_batch(
     req: &BatchRequest,
     canonical_platform: &str,
     t_dequeue: Instant,
-) {
+) -> Reply {
     let queue_wait = t_dequeue.saturating_duration_since(job.t_enqueue).as_secs_f64();
     let bid = &req.id;
     // Resolve the platform once. Eigendecomposition work across the resolve
@@ -1213,14 +1118,7 @@ fn process_batch(
                 ..Completion::proto(bid, "solve_batch", "error", job.t_recv, job.conn, job.seq)
             };
             let stamped = record_completion(shared, &c, Instant::now());
-            respond(
-                shared,
-                &job.writer,
-                bid,
-                &error_to_json(bid, "usage", &e.to_string()),
-                stamped,
-            );
-            return;
+            return respond(shared, bid, &error_to_json(bid, "usage", &e.to_string()), stamped);
         }
     };
     let ids: Vec<String> = (0..req.variants.len()).map(|i| format!("{bid}#{i}")).collect();
@@ -1323,9 +1221,8 @@ fn process_batch(
         stamped = Some(record_completion(shared, &c, done));
         lines.push(o.line);
     }
-    // The parser guarantees at least one variant, so at least one stamp.
-    let Some(stamped) = stamped else { return };
-    respond(shared, &job.writer, bid, &batch_response_to_json(bid, warm, &lines), stamped);
+    let stamped = stamped.expect("the parser guarantees at least one variant");
+    respond(shared, bid, &batch_response_to_json(bid, warm, &lines), stamped)
 }
 
 /// Renders an ok response for `req` from a (fresh or cached) solve.
@@ -1351,33 +1248,33 @@ fn render_variant_ok(id: &str, want_schedule: bool, solve: &CachedSolve, cached:
     .to_json()
 }
 
-/// Writes one solve-response line: response metrics plus the
+/// Frames one solve-response line: response metrics plus the
 /// `serve.response` event the M062 lint pairs against `serve.request`.
 /// Demands the caller's [`Stamped`] receipt: no response without its
 /// completion recorded first.
-fn respond(shared: &Shared, writer: &ConnWriter, id: &str, line: &str, stamped: Stamped) {
-    respond_proto(shared, writer, line, stamped);
+fn respond(shared: &Shared, id: &str, line: &str, stamped: Stamped) -> Reply {
+    let reply = respond_proto(shared, line, stamped);
     mosc_obs::event("serve.response", &[("id", id_hash(id).into())]);
+    reply
 }
 
-/// Writes one response line and records the response metrics, without the
+/// Frames one response line and records the response metrics, without the
 /// request/response event pairing — protocol ops (ping/stats/metrics/
 /// shutdown) and parse errors answer lines that no `serve.request` event
 /// announced. The [`Stamped`] receipt proves the completion was recorded
 /// before any byte lands.
 // Taking `Stamped` by value (not reference) is the whole point of the
-// receipt: a moved-in token cannot be spent on two response writes.
+// receipt: a moved-in token cannot be spent on two responses.
 #[allow(clippy::needless_pass_by_value)]
-fn respond_proto(shared: &Shared, writer: &ConnWriter, line: &str, stamped: Stamped) {
+fn respond_proto(shared: &Shared, line: &str, stamped: Stamped) -> Reply {
     let Stamped(()) = stamped; // spent: the record precedes the write.
-                               // Count before writing: the moment the bytes land, a client may read
-                               // them and query `stats`, and the response it just received must
-                               // already be in the counter.
+                               // Count before the bytes land: a client may read them and query
+                               // `stats`, and the response it just received must already be counted.
     shared.metrics.on_response();
     let mut framed = String::with_capacity(line.len() + 1);
     framed.push_str(line);
     framed.push('\n');
-    writer.write_line(framed);
+    Reply(framed)
 }
 
 /// 32-bit id hash for obs events: event fields travel through JSON numbers
@@ -1386,98 +1283,41 @@ fn id_hash(id: &str) -> u64 {
     fnv1a(id.as_bytes()) & 0xFFFF_FFFF
 }
 
-/// The reader side of the threaded front end: one thread per connection,
-/// line-oriented, polling the shutdown flag between reads.
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    // Responses are single small writes; Nagle + delayed ACK would add tens
-    // of milliseconds of latency per request on an otherwise idle link.
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else { return };
-    let writer = ConnWriter::Direct(Arc::new(Mutex::new(write_half)));
-    let conn = shared.conns.fetch_add(1, Ordering::Relaxed) + 1;
-    let mut seq: u64 = 0;
-    let mut last_activity = Instant::now();
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // EOF: client closed its write half.
-            Ok(_) => {
-                let t_recv = Instant::now();
-                last_activity = t_recv;
-                let full = std::mem::take(&mut line);
-                let trimmed = full.trim();
-                if !trimmed.is_empty() {
-                    // A line consumes one seq per logged completion — one
-                    // for most requests, one per variant for a batch.
-                    seq += handle_line(trimmed, &writer, shared, t_recv, conn, seq);
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Timeout with a partial line already buffered in `line`:
-                // keep accumulating on the next pass — unless the idle
-                // budget ran out, in which case the connection is dropped.
-                if shared.opts.idle_timeout.is_some_and(|limit| last_activity.elapsed() >= limit) {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
 /// Dispatches the `seq`-th request line of connection `conn`, received at
-/// `t_recv`. Returns how many sequence numbers the line consumed (one per
-/// logged completion: 1 for everything except `solve_batch`, which claims
-/// one per variant). Every non-empty line produces **exactly one**
-/// response line, now or when a worker completes — the event loop's
-/// close-when-drained accounting depends on that invariant.
+/// `t_recv`, on the I/O thread. Returns how many sequence numbers the line
+/// consumed (one per logged completion: 1 for everything except
+/// `solve_batch`, which claims one per variant) and the answer when the
+/// I/O thread made it itself: parse errors, protocol ops, cache hits and
+/// `overloaded` rejections. A queued line returns `None`; its worker
+/// answers through `outbox`. Every non-empty line gets **exactly one**
+/// response line either way — the event loop's close-when-drained
+/// accounting depends on that invariant.
 pub(crate) fn handle_line(
     line: &str,
-    writer: &ConnWriter,
     shared: &Shared,
+    outbox: &Arc<Outbox>,
     t_recv: Instant,
     conn: u64,
     seq: u64,
-) -> u64 {
+) -> (u64, Option<Reply>) {
+    let proto = |id: &str, op: &str, status: &str, line: &str| {
+        Some(finish(shared, line, &Completion::proto(id, op, status, t_recv, conn, seq)))
+    };
     let request = match parse_request(line) {
         Ok(r) => r,
         Err(ProtoError { message, id, kind }) => {
             shared.metrics.on_malformed();
-            finish(
-                shared,
-                writer,
-                &error_to_json(&id, kind.id(), &message),
-                &Completion::proto(&id, "parse", "error", t_recv, conn, seq),
-            );
-            return 1;
+            return (1, proto(&id, "parse", "error", &error_to_json(&id, kind.id(), &message)));
         }
     };
     match request {
         Request::Ping { id } => {
             let pong = Response::Pong { id: id.clone() }.to_json();
-            finish(shared, writer, &pong, &Completion::proto(&id, "ping", "ok", t_recv, conn, seq));
-            1
+            (1, proto(&id, "ping", "ok", &pong))
         }
         Request::Stats { id } => {
             let line = Response::Stats { id: id.clone(), stats: shared.stats() }.to_json();
-            finish(
-                shared,
-                writer,
-                &line,
-                &Completion::proto(&id, "stats", "ok", t_recv, conn, seq),
-            );
-            1
+            (1, proto(&id, "stats", "ok", &line))
         }
         Request::Metrics { id } => {
             let text = shared.metrics.render_prometheus(
@@ -1486,37 +1326,20 @@ pub(crate) fn handle_line(
                 shared.start.elapsed().as_secs_f64(),
             );
             let line = Response::Metrics { id: id.clone(), text }.to_json();
-            finish(
-                shared,
-                writer,
-                &line,
-                &Completion::proto(&id, "metrics", "ok", t_recv, conn, seq),
-            );
-            1
+            (1, proto(&id, "metrics", "ok", &line))
         }
         Request::Hello { id, max_version } => {
             let (line, status) = match HelloResponse::negotiate(&id, max_version) {
                 Ok(hello) => (Response::Hello(hello).to_json(), "ok"),
                 Err(message) => (error_to_json(&id, ErrorKind::Usage.id(), &message), "error"),
             };
-            finish(
-                shared,
-                writer,
-                &line,
-                &Completion::proto(&id, "hello", status, t_recv, conn, seq),
-            );
-            1
+            (1, proto(&id, "hello", status, &line))
         }
         Request::Shutdown { id } => {
             let bye = Response::ShuttingDown { id: id.clone() }.to_json();
-            finish(
-                shared,
-                writer,
-                &bye,
-                &Completion::proto(&id, "shutdown", "ok", t_recv, conn, seq),
-            );
+            let reply = proto(&id, "shutdown", "ok", &bye);
             shared.initiate_shutdown();
-            1
+            (1, reply)
         }
         Request::Solve(req) => {
             shared.metrics.on_request();
@@ -1527,14 +1350,13 @@ pub(crate) fn handle_line(
                 "serve.request",
                 &[("id", id_hash(&req.id).into()), ("key", (key.hash & 0xFFFF_FFFF).into())],
             );
-            // Fast path: answer cache hits from the reader thread, without
+            // Fast path: answer cache hits on the I/O thread, without
             // occupying a queue slot or a worker.
             if let Some(hit) = shared.lock_cache().get(&key) {
                 shared.metrics.on_cache_hit();
                 let line = render_ok(&req, &hit, true);
-                finish(
+                let reply = finish(
                     shared,
-                    writer,
                     &line,
                     &Completion {
                         id: &req.id,
@@ -1556,7 +1378,7 @@ pub(crate) fn handle_line(
                         ids,
                     },
                 );
-                return 1;
+                return (1, Some(reply));
             }
             let deadline_at =
                 req.options.deadline.or(shared.opts.default_deadline).map(|d| Instant::now() + d);
@@ -1564,7 +1386,7 @@ pub(crate) fn handle_line(
                 payload: Payload::Single(req, key),
                 conn,
                 seq,
-                writer: writer.clone(),
+                outbox: Arc::clone(outbox),
                 deadline_at,
                 t_recv,
                 t_enqueue: Instant::now(),
@@ -1574,15 +1396,15 @@ pub(crate) fn handle_line(
                 Ok(depth) => {
                     shared.metrics.on_queue_depth(depth as u64);
                     flight_record(shared, FlightKind::Enqueue, ids, depth as u64);
+                    (1, None)
                 }
                 Err(QueueFull(job)) => {
                     shared.metrics.on_rejected();
                     flight_record(shared, FlightKind::Overload, ids, shared.queue.len() as u64);
                     flight_dump(shared, "overload");
                     let Payload::Single(req, key) = &job.payload else { unreachable!() };
-                    finish(
+                    let reply = finish(
                         shared,
-                        &job.writer,
                         &overloaded_to_json(&req.id),
                         // A rejected job never queued: its enqueue and
                         // dequeue anchors collapse onto `t_recv` so the
@@ -1607,9 +1429,9 @@ pub(crate) fn handle_line(
                             ids,
                         },
                     );
+                    (1, Some(reply))
                 }
             }
-            1
         }
         Request::SolveBatch(req) => {
             shared.metrics.on_request();
@@ -1633,7 +1455,7 @@ pub(crate) fn handle_line(
                 payload: Payload::Batch(req, canonical_platform),
                 conn,
                 seq,
-                writer: writer.clone(),
+                outbox: Arc::clone(outbox),
                 deadline_at: None,
                 t_recv,
                 t_enqueue: Instant::now(),
@@ -1643,6 +1465,7 @@ pub(crate) fn handle_line(
                 Ok(depth) => {
                     shared.metrics.on_queue_depth(depth as u64);
                     flight_record(shared, FlightKind::Enqueue, ids, depth as u64);
+                    (consumed, None)
                 }
                 Err(QueueFull(job)) => {
                     shared.metrics.on_rejected();
@@ -1656,10 +1479,12 @@ pub(crate) fn handle_line(
                         ..Completion::proto(&req.id, "solve_batch", "overloaded", t_recv, conn, seq)
                     };
                     let stamped = record_completion(shared, &c, Instant::now());
-                    respond(shared, &job.writer, &req.id, &overloaded_to_json(&req.id), stamped);
+                    (
+                        consumed,
+                        Some(respond(shared, &req.id, &overloaded_to_json(&req.id), stamped)),
+                    )
                 }
             }
-            consumed
         }
     }
 }

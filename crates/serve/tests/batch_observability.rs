@@ -5,6 +5,7 @@
 //! This file is its own test binary and holds exactly one `#[test]`: it
 //! enables the process-global `mosc-obs` recorder, which must not race the
 //! other loopback tests' assumptions.
+#![cfg(unix)]
 
 use mosc_analyze::json::Value;
 use mosc_serve::Server;

@@ -1,48 +1,17 @@
 //! Loopback integration tests: a real in-process [`Server`] on `127.0.0.1:0`
 //! with real TCP clients — concurrency, exactly-once responses, cache
-//! counters, backpressure and drain-then-exit, all on the `specs/smoke.json`
-//! platform. Every test runs once per front end (threaded and, on unix,
-//! the event loop): the wire behavior is identical by contract.
+//! counters, backpressure, idle reaping and drain-then-exit, all on the
+//! `specs/smoke.json` platform.
+#![cfg(unix)]
 
 use mosc_analyze::json::Value;
-use mosc_serve::{Frontend, ServeBuilder, Server};
+use mosc_serve::{ServeBuilder, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 /// The `specs/smoke.json` platform, inlined.
 const PLATFORM: &str = r#"{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":55.0}"#;
-
-/// Expands one `fn body(Frontend)` into a `#[test]` per front end.
-macro_rules! per_frontend {
-    ($($name:ident),+ $(,)?) => {$(
-        mod $name {
-            #[test]
-            fn threads() {
-                super::$name(mosc_serve::Frontend::Threads);
-            }
-            #[cfg(unix)]
-            #[test]
-            fn evloop() {
-                super::$name(mosc_serve::Frontend::Evloop);
-            }
-        }
-    )+};
-}
-
-per_frontend!(
-    concurrent_clients_each_get_exactly_one_response,
-    repeated_identical_requests_are_answered_from_the_cache,
-    want_schedule_round_trips_through_the_text_format,
-    a_full_queue_answers_overloaded_immediately,
-    malformed_and_unsolvable_requests_get_typed_errors,
-    a_deadline_expiring_mid_solve_is_enforced_before_the_response,
-    solve_batch_interns_the_platform_and_answers_per_variant,
-    a_batch_with_a_broken_platform_gets_one_usage_error,
-    shutdown_op_drains_and_stops_the_server,
-    hello_negotiates_the_protocol_version,
-    pipelined_requests_are_answered_in_order,
-    a_half_closed_connection_still_receives_its_responses,
-);
 
 fn start(
     builder: ServeBuilder,
@@ -54,8 +23,8 @@ fn start(
     (addr, handle, join)
 }
 
-fn quick_builder(frontend: Frontend) -> ServeBuilder {
-    Server::builder().addr("127.0.0.1:0").frontend(frontend)
+fn quick_builder() -> ServeBuilder {
+    Server::builder().addr("127.0.0.1:0")
 }
 
 /// Sends `line` and reads one response line on a fresh connection.
@@ -73,27 +42,9 @@ fn solve_line(id: &str, solver: &str) -> String {
     format!(r#"{{"id":"{id}","solver":"{solver}","platform":{PLATFORM}}}"#)
 }
 
-/// The frozen positional-options constructor keeps working behind the
-/// builder: out-of-repo callers that have not migrated yet still get a
-/// serving daemon with identical defaults.
 #[test]
-fn deprecated_positional_bind_still_serves() {
-    #[allow(deprecated)]
-    let server =
-        Server::bind(mosc_serve::ServeOptions { addr: "127.0.0.1:0".into(), ..Default::default() })
-            .expect("bind 127.0.0.1:0");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let join = std::thread::spawn(move || server.run().expect("serve loop"));
-    let doc = roundtrip(addr, r#"{"id":"shim","op":"ping"}"#);
-    assert_eq!(doc.get("status").and_then(Value::as_str), Some("ok"), "{doc:?}");
-    assert_eq!(doc.get("pong").and_then(Value::as_bool), Some(true), "{doc:?}");
-    handle.shutdown();
-    join.join().expect("server thread");
-}
-
-fn concurrent_clients_each_get_exactly_one_response(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
+fn concurrent_clients_each_get_exactly_one_response() {
+    let (addr, handle, join) = start(quick_builder());
     // Warm the cache sequentially so the concurrent round is deterministic
     // (identical misses racing in parallel would each count a miss).
     roundtrip(addr, &solve_line("warm-ao", "ao"));
@@ -124,8 +75,9 @@ fn concurrent_clients_each_get_exactly_one_response(frontend: Frontend) {
     join.join().expect("server thread");
 }
 
-fn repeated_identical_requests_are_answered_from_the_cache(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
+#[test]
+fn repeated_identical_requests_are_answered_from_the_cache() {
+    let (addr, handle, join) = start(quick_builder());
     let first = roundtrip(addr, &solve_line("r0", "ao"));
     assert_eq!(first.get("cached").and_then(Value::as_bool), Some(false), "{first:?}");
     let throughput = first.get("throughput").and_then(Value::as_f64).unwrap();
@@ -147,8 +99,9 @@ fn repeated_identical_requests_are_answered_from_the_cache(frontend: Frontend) {
     join.join().expect("server thread");
 }
 
-fn want_schedule_round_trips_through_the_text_format(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
+#[test]
+fn want_schedule_round_trips_through_the_text_format() {
+    let (addr, handle, join) = start(quick_builder());
     let line = format!(r#"{{"id":"ws","solver":"ao","platform":{PLATFORM},"want_schedule":true}}"#);
     let doc = roundtrip(addr, &line);
     let schedule_text = doc.get("schedule").and_then(Value::as_str).expect("schedule text");
@@ -158,11 +111,12 @@ fn want_schedule_round_trips_through_the_text_format(frontend: Frontend) {
     join.join().expect("server thread");
 }
 
-fn a_full_queue_answers_overloaded_immediately(frontend: Frontend) {
+#[test]
+fn a_full_queue_answers_overloaded_immediately() {
     // One worker, one queue slot. Park the worker on a deliberately slow
     // request (9-core 4-level EXS), fill the slot, then watch the next
     // request bounce.
-    let (addr, handle, join) = start(quick_builder(frontend).workers(1).queue_capacity(1));
+    let (addr, handle, join) = start(quick_builder().workers(1).queue_capacity(1));
     let slow = r#"{"rows":3,"cols":3,"levels":[0.6,0.8,1.0,1.3],"t_max_c":65.0}"#;
     let parked = {
         let line = format!(
@@ -199,8 +153,9 @@ fn a_full_queue_answers_overloaded_immediately(frontend: Frontend) {
     join.join().expect("server thread");
 }
 
-fn malformed_and_unsolvable_requests_get_typed_errors(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
+#[test]
+fn malformed_and_unsolvable_requests_get_typed_errors() {
+    let (addr, handle, join) = start(quick_builder());
     let doc = roundtrip(addr, "this is not json");
     assert_eq!(doc.get("status").and_then(Value::as_str), Some("error"), "{doc:?}");
     assert_eq!(doc.get("kind").and_then(Value::as_str), Some("parse"), "{doc:?}");
@@ -235,8 +190,9 @@ fn malformed_and_unsolvable_requests_get_typed_errors(frontend: Frontend) {
     join.join().expect("server thread");
 }
 
-fn a_deadline_expiring_mid_solve_is_enforced_before_the_response(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
+#[test]
+fn a_deadline_expiring_mid_solve_is_enforced_before_the_response() {
+    let (addr, handle, join) = start(quick_builder());
     // The governor ignores deadlines by contract, so a fine-grained control
     // period makes the solve reliably outlive a short deadline; the server
     // must notice at completion and answer `deadline` instead of returning
@@ -268,16 +224,13 @@ fn a_deadline_expiring_mid_solve_is_enforced_before_the_response(frontend: Front
     join.join().expect("server thread");
 }
 
-fn solve_batch_interns_the_platform_and_answers_per_variant(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
-    // A platform unique to this test *and* front end: the interning
-    // registry is process-global, so sharing a platform across tests would
-    // make the cold/warm assertions racy.
-    let t_max = match frontend {
-        Frontend::Threads => 56.0,
-        Frontend::Evloop => 56.5,
-    };
-    let platform = format!(r#"{{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":{t_max}}}"#);
+#[test]
+fn solve_batch_interns_the_platform_and_answers_per_variant() {
+    let (addr, handle, join) = start(quick_builder());
+    // A platform unique to this test: the interning registry is
+    // process-global, so sharing a platform across tests would make the
+    // cold/warm assertions racy.
+    let platform = r#"{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":56.0}"#;
     let batch = |id: &str| {
         format!(
             concat!(
@@ -329,8 +282,9 @@ fn solve_batch_interns_the_platform_and_answers_per_variant(frontend: Frontend) 
     join.join().expect("server thread");
 }
 
-fn a_batch_with_a_broken_platform_gets_one_usage_error(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
+#[test]
+fn a_batch_with_a_broken_platform_gets_one_usage_error() {
+    let (addr, handle, join) = start(quick_builder());
     let line = concat!(
         r#"{"id":"bad","op":"solve_batch","platform":{"rows":0,"cols":0,"levels":[],"t_max_c":55.0},"#,
         r#""variants":[{"solver":"ao"},{"solver":"lns"}]}"#
@@ -343,8 +297,9 @@ fn a_batch_with_a_broken_platform_gets_one_usage_error(frontend: Frontend) {
     join.join().expect("server thread");
 }
 
-fn shutdown_op_drains_and_stops_the_server(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
+#[test]
+fn shutdown_op_drains_and_stops_the_server() {
+    let (addr, handle, join) = start(quick_builder());
     let doc = roundtrip(addr, r#"{"id":"p","op":"ping"}"#);
     assert_eq!(doc.get("pong").and_then(Value::as_bool), Some(true), "{doc:?}");
 
@@ -356,8 +311,9 @@ fn shutdown_op_drains_and_stops_the_server(frontend: Frontend) {
     assert_eq!(stats.responses, 2, "{stats:?}");
 }
 
-fn hello_negotiates_the_protocol_version(frontend: Frontend) {
-    let (addr, handle, join) = start(quick_builder(frontend));
+#[test]
+fn hello_negotiates_the_protocol_version() {
+    let (addr, handle, join) = start(quick_builder());
     // A plain hello negotiates the newest version the server speaks.
     let doc = roundtrip(addr, r#"{"id":"h","op":"hello"}"#);
     assert_eq!(doc.get("status").and_then(Value::as_str), Some("ok"), "{doc:?}");
@@ -386,10 +342,11 @@ fn hello_negotiates_the_protocol_version(frontend: Frontend) {
     join.join().expect("server thread");
 }
 
-fn pipelined_requests_are_answered_in_order(frontend: Frontend) {
+#[test]
+fn pipelined_requests_are_answered_in_order() {
     // One worker serializes execution, so responses to a burst written in
     // one packet must come back in request order, one line each.
-    let (addr, handle, join) = start(quick_builder(frontend).workers(1));
+    let (addr, handle, join) = start(quick_builder().workers(1));
     let mut stream = TcpStream::connect(addr).expect("connect");
     let burst: String =
         (0..10).map(|i| format!(r#"{{"id":"pl{i}","op":"ping"}}"#) + "\n").collect();
@@ -405,10 +362,11 @@ fn pipelined_requests_are_answered_in_order(frontend: Frontend) {
     join.join().expect("server thread");
 }
 
-fn a_half_closed_connection_still_receives_its_responses(frontend: Frontend) {
+#[test]
+fn a_half_closed_connection_still_receives_its_responses() {
     // Write requests, shut down the send half, then read: the responses
     // must still arrive (EOF does not cancel in-flight work).
-    let (addr, handle, join) = start(quick_builder(frontend));
+    let (addr, handle, join) = start(quick_builder());
     let mut stream = TcpStream::connect(addr).expect("connect");
     let lines = format!("{}\n{}\n", solve_line("hc0", "ao"), r#"{"id":"hc1","op":"ping"}"#);
     stream.write_all(lines.as_bytes()).expect("send");
@@ -425,6 +383,100 @@ fn a_half_closed_connection_still_receives_its_responses(frontend: Frontend) {
     }
     got.sort();
     assert_eq!(got, ["hc0", "hc1"], "both responses delivered after half-close");
+    handle.shutdown();
+    join.join().expect("server thread");
+}
+
+#[test]
+fn deadline_and_disconnect_heavy_connections_are_each_fully_answered() {
+    // Every connection pipelines three requests — two with an
+    // already-expired deadline around a ping — then sends a torn request
+    // and disconnects mid-line.
+    let (addr, handle, join) = start(quick_builder().workers(1));
+    let platforms = [
+        r#"{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":58.0}"#,
+        r#"{"rows":1,"cols":3,"levels":[0.6,1.3],"t_max_c":58.5}"#,
+        r#"{"rows":1,"cols":2,"levels":[0.6,1.0,1.3],"t_max_c":59.0}"#,
+    ];
+    let clients: Vec<_> = platforms
+        .iter()
+        .enumerate()
+        .map(|(c, p)| {
+            let lines: Vec<String> = (0..3)
+                .map(|i| {
+                    let id = format!("d{c}r{i}");
+                    if i % 2 == 0 {
+                        format!(
+                            r#"{{"id":"{id}","solver":"ao","platform":{p},"options":{{"deadline_ms":0}}}}"#
+                        )
+                    } else {
+                        format!(r#"{{"id":"{id}","op":"ping"}}"#)
+                    }
+                })
+                .collect();
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                let burst: String = lines.iter().map(|l| format!("{l}\n")).collect();
+                stream.write_all(burst.as_bytes()).expect("send burst");
+                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                let mut got: Vec<Value> = (0..lines.len())
+                    .map(|_| {
+                        let mut line = String::new();
+                        reader.read_line(&mut line).expect("read response");
+                        Value::parse(&line).expect("response parses")
+                    })
+                    .collect();
+                let _ = stream.write_all(br#"{"id":"torn","op":"pi"#);
+                got.sort_by_key(|d| d.get("id").and_then(Value::as_str).unwrap_or("").to_owned());
+                (c, got)
+            })
+        })
+        .collect();
+    for client in clients {
+        let (c, got) = client.join().expect("client thread");
+        // Every request answered once, nothing invented, and the torn tail
+        // got no response on the wire.
+        let ids: Vec<&str> =
+            got.iter().filter_map(|d| d.get("id").and_then(Value::as_str)).collect();
+        let want: Vec<String> = (0..3).map(|i| format!("d{c}r{i}")).collect();
+        assert_eq!(ids, want, "{got:?}");
+        for (i, doc) in got.iter().enumerate() {
+            if i % 2 == 0 {
+                assert_eq!(doc.get("kind").and_then(Value::as_str), Some("deadline"), "{doc:?}");
+            } else {
+                assert_eq!(doc.get("pong").and_then(Value::as_bool), Some(true), "{doc:?}");
+            }
+        }
+    }
+    handle.shutdown();
+    join.join().expect("server thread");
+}
+
+#[test]
+fn idle_connections_are_reaped() {
+    // An idle connection is closed; an active one survives.
+    let (addr, handle, join) =
+        start(quick_builder().workers(1).idle_timeout(Duration::from_millis(300)));
+    let idle = TcpStream::connect(addr).expect("connect idle");
+    let mut reader = BufReader::new(idle.try_clone().expect("clone"));
+    // The server must close the idle connection: read_line returns 0.
+    idle.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let mut line = String::new();
+    let n = reader.read_line(&mut line).expect("idle close yields clean EOF");
+    assert_eq!(n, 0, "idle connection reaped: {line:?}");
+
+    // A connection that stays active outlives several idle windows.
+    let mut active = TcpStream::connect(addr).expect("connect active");
+    let mut active_reader = BufReader::new(active.try_clone().expect("clone"));
+    for i in 0..4 {
+        std::thread::sleep(Duration::from_millis(150));
+        active
+            .write_all(format!("{{\"id\":\"keep{i}\",\"op\":\"ping\"}}\n").as_bytes())
+            .expect("send ping");
+        let mut pong = String::new();
+        active_reader.read_line(&mut pong).expect("read pong");
+        assert!(pong.contains("pong"), "active connection stays up: {pong:?}");
+    }
     handle.shutdown();
     join.join().expect("server thread");
 }

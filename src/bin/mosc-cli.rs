@@ -241,8 +241,8 @@ const USAGE: &str = "usage:
   mosc-cli profile SPEC.json
   mosc-cli serve   [--addr HOST:PORT] [--workers N] [--queue N] [--cache N] [--deadline-ms MS]
                    [--access-log FILE] [--slow-ms MS] [--timeline FILE] [--timeline-window-ms MS]
-                   [--frontend threads|evloop] [--idle-timeout-ms MS]
-                   [--flight-dump FILE] [--flight-capacity N]
+                   [--idle-timeout-ms MS] [--flight-dump FILE] [--flight-capacity N]
+                   (unix only)
   mosc-cli client  [--addr HOST:PORT] [--batch] [--trace]  (stdin request lines -> stdout
                    response lines; --batch folds solve lines sharing one platform into a
                    single solve_batch; --trace stamps fresh trace ids, reported on stderr)
@@ -270,6 +270,7 @@ fn run() -> Result<ExitCode, CliError> {
     match cmd.as_str() {
         "analyze" => return analyze(&args),
         "profile" => return profile(&args, obs_mode),
+        #[cfg(unix)]
         "serve" => {
             // Emit the telemetry window after the daemon drains: the
             // resulting JSONL is what the M060-M062 serve lints analyze.
@@ -651,6 +652,7 @@ fn analyze(args: &Args) -> Result<ExitCode, CliError> {
 
 /// `mosc-cli serve`: run the solve daemon until a `shutdown` op arrives,
 /// then drain and exit.
+#[cfg(unix)]
 fn serve(args: &Args) -> Result<ExitCode, CliError> {
     let addr = args.flag("--addr").unwrap_or("127.0.0.1:7070").to_owned();
     let mut builder = mosc::serve::Server::builder()
@@ -658,10 +660,6 @@ fn serve(args: &Args) -> Result<ExitCode, CliError> {
         .workers(args.parse_or("--workers", 0usize)?)
         .queue_capacity(args.parse_or("--queue", 64usize)?)
         .cache_capacity(args.parse_or("--cache", 128usize)?)
-        .frontend(match args.flag("--frontend") {
-            None => mosc::serve::Frontend::default(),
-            Some(s) => s.parse().map_err(CliError::Usage)?,
-        })
         .slow_threshold({
             let ms: f64 = args.parse_or("--slow-ms", 100.0)?;
             if !ms.is_finite() || ms < 0.0 {
