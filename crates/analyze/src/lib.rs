@@ -36,7 +36,7 @@
 //!   invariants: timestamp ordering (M090), span-tree well-formedness
 //!   (M091), queue-wait accounting (M092), and per-connection sequence
 //!   monotonicity (M093).
-//! * **bench artifacts** ([`bench`]) — structural checks over the
+//! * **bench artifacts** ([`bench`](mod@bench)) — structural checks over the
 //!   `BENCH_*.json` streams: schema-v2 metadata presence (M100), latency
 //!   quantile ordering (M101), empty measurement windows (M102),
 //!   achieved-rate collapse (M103), and rate-sweep sanity (M104).

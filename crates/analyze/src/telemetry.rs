@@ -3,9 +3,10 @@
 //! The input is the JSONL that `mosc-cli --obs=json` / `mosc-cli profile
 //! --obs=json` print and the bench harness writes to `BENCH_obs.json`: one
 //! JSON object per line with a `"type"` discriminator (`span`, `counter`,
-//! `gauge`, `hist`, `event`, `meta`, plus the CLI's `profile` headers).
+//! `gauge`, `event`, `meta`, plus the CLI's `profile` headers).
 //! Unknown types are skipped so the format can grow without breaking old
-//! analyzers.
+//! analyzers, and old streams still carrying the retired `hist` record
+//! analyze as before.
 //!
 //! These lints look for *instrumentation and solver anomalies* that the
 //! value-level `M0xx` checks cannot see:
@@ -44,9 +45,9 @@
 //!   `serve.request` event in the stream.
 //!
 //! Lines of type `access`, `hist_snapshot` and `serve_summary` — the
-//! daemon's `--access-log` JSONL — dispatch to the [`crate::access`]
-//! module's `M070`-series lints, so telemetry streams and access logs run
-//! through the same `analyze` entry point.
+//! daemon's `--access-log` JSONL — dispatch to the `access` module's
+//! `M070`-series lints, so telemetry streams and access logs run through
+//! the same `analyze` entry point.
 
 use crate::diag::{Code, Report};
 use crate::json::Value;
@@ -158,7 +159,7 @@ pub fn stream_lints(records: &[StreamRecord], report: &mut Report) {
             Some("serve_summary") => {
                 crate::access::check_serve_summary(value, lineno, report);
             }
-            _ => {} // hist, meta, profile, future types
+            _ => {} // meta, profile, retired hist, future types
         }
     }
     serve.finish(report);
@@ -393,6 +394,15 @@ mod tests {
 {"type":"event","name":"ao.m_selected","fields":{"m":12,"m_cap":99,"peak":21.5,"stop":"patience"}}
 "#;
         let r = analyze_telemetry(text).unwrap();
+        assert!(r.is_clean(), "findings:\n{r}");
+
+        // Streams recorded before the streaming histogram was retired still
+        // carry `hist` lines; they are skipped, not flagged.
+        let old = format!(
+            "{text}{}\n",
+            r#"{"type":"hist","name":"ao.peak","count":3,"sum":1.5,"min":0.25,"max":0.75}"#
+        );
+        let r = analyze_telemetry(&old).unwrap();
         assert!(r.is_clean(), "findings:\n{r}");
     }
 

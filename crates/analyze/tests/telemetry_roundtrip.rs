@@ -8,13 +8,12 @@
 
 use mosc_analyze::json::Value;
 use mosc_analyze::{analyze_telemetry, Code};
-use mosc_obs::{Counter, FieldValue, Gauge, Histogram, Telemetry};
+use mosc_obs::{Counter, FieldValue, Gauge, Telemetry};
 use mosc_testutil::propcheck_cases;
 
 static COUNTERS: [Counter; 3] =
     [Counter::new("rt.calls"), Counter::new("rt.steps"), Counter::new("rt.nodes")];
 static GAUGES: [Gauge; 2] = [Gauge::new("rt.ratio"), Gauge::new("rt.peak")];
-static HISTS: [Histogram; 2] = [Histogram::new("rt.latency"), Histogram::new("rt.residual")];
 
 /// Event names and string field values, including every escape class the
 /// serializer handles (quotes, backslashes, newlines, control characters).
@@ -31,11 +30,6 @@ fn random_activity(rng: &mut mosc_testutil::Rng64) {
     for g in &GAUGES {
         if rng.gen_range(0..2usize) == 1 {
             g.set(rng.gen_range(-1e6..1e6));
-        }
-    }
-    for h in &HISTS {
-        for _ in 0..rng.gen_range(0..5usize) {
-            h.record(rng.gen_range(-100.0..100.0));
         }
     }
     for _ in 0..rng.gen_range(0..4usize) {
@@ -85,13 +79,6 @@ fn jsonl_round_trips_through_the_analyze_parser() {
                 }
                 "gauge" => {
                     assert_eq!(Some(field_f64(&v, "value")), t.gauge(name), "{line}");
-                }
-                "hist" => {
-                    let h = t.histogram(name).expect("hist in snapshot");
-                    assert_eq!(field_f64(&v, "count") as u64, h.count, "{line}");
-                    assert_eq!(field_f64(&v, "sum"), h.sum, "{line}");
-                    assert_eq!(field_f64(&v, "min"), h.min, "{line}");
-                    assert_eq!(field_f64(&v, "max"), h.max, "{line}");
                 }
                 "span" => {
                     let path = v.get("path").and_then(Value::as_str).expect("span path");

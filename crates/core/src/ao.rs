@@ -131,10 +131,9 @@ pub fn solve_with(platform: &Platform, opts: &AoOptions) -> Result<Solution> {
     let pairs = build_pairs(platform, &ideal.voltages);
 
     // Step 3: m sweep under the overhead bound.
-    let (m_opt, _) = sweep_m(platform, &pairs, opts)?;
+    let (m_opt, pairs_adj) = sweep_m(platform, &pairs, opts)?;
 
     // Step 4: TPT ratio adjustment until the constraint holds.
-    let pairs_adj = adjusted_pairs(&pairs, platform, m_opt, opts);
     let t_c = opts.base_period / m_opt as f64;
     let t_unit = t_c / opts.t_unit_divisor as f64;
     let (_, schedule) =
@@ -425,26 +424,32 @@ pub fn schedule_from_pairs(pairs: &[CorePair], t_c: f64) -> Result<Schedule> {
 /// Sweeps the oscillation factor (Algorithm 2 lines 8–13). Returns the
 /// smallest feasible factor (ties in net throughput keep the smaller `m`,
 /// since extra oscillation only adds δ compensation) or, when no factor is
-/// feasible on its own, the lowest-peak factor for the TPT pass to finish.
+/// feasible on its own, the lowest-peak factor for the TPT pass to finish —
+/// together with its δ-compensated pairs. When the compensation already
+/// saturates at `m = 1`, no factor can oscillate at all: the result is
+/// `m = 1` with every oscillating core held at its lower level.
 ///
 /// Candidates are evaluated in batches across scoped threads; selection
 /// consumes the batch sequentially in ascending-`m` order, so the result is
 /// bit-identical to a single-threaded sweep.
-fn sweep_m(platform: &Platform, pairs: &[CorePair], opts: &AoOptions) -> Result<(usize, Schedule)> {
+fn sweep_m(
+    platform: &Platform,
+    pairs: &[CorePair],
+    opts: &AoOptions,
+) -> Result<(usize, Vec<CorePair>)> {
     let _span = mosc_obs::span("ao.sweep_m");
     // When no core actually oscillates the schedule is m-invariant.
     if !pairs.iter().any(pairs_oscillating) {
-        let schedule = schedule_from_pairs(pairs, opts.base_period)?;
         mosc_obs::event("ao.m_selected", &[("m", 1u64.into()), ("stop", "no_oscillation".into())]);
-        return Ok((1, schedule));
+        return Ok((1, pairs.to_vec()));
     }
     let m_cap = chip_max_m(platform, pairs, opts);
     let threads = thread_count(opts.threads, m_cap);
     let t_max = platform.t_max();
     // Best feasible candidate: highest net throughput, first (smallest) m on
     // ties. Fallback: lowest stable peak.
-    let mut best_feasible: Option<(usize, f64, f64, Schedule)> = None;
-    let mut best_peak: Option<(usize, f64, Schedule)> = None;
+    let mut best_feasible: Option<(usize, f64, f64)> = None;
+    let mut best_peak: Option<(usize, f64)> = None;
     let mut since_improvement = 0;
     let mut stop: &'static str = "cap";
     let mut m_next = 1usize;
@@ -503,13 +508,13 @@ fn sweep_m(platform: &Platform, pairs: &[CorePair], opts: &AoOptions) -> Result<
             let mut improved = false;
             if peak <= t_max + ACCEPT_EPS {
                 let net = schedule.throughput_with_overhead(platform.overhead());
-                if best_feasible.as_ref().is_none_or(|(_, b, _, _)| net > *b + 1e-12) {
-                    best_feasible = Some((*m, net, peak, schedule.clone()));
+                if best_feasible.is_none_or(|(_, b, _)| net > b + 1e-12) {
+                    best_feasible = Some((*m, net, peak));
                     improved = true;
                 }
             }
-            if best_peak.as_ref().is_none_or(|(_, b, _)| peak < *b - 1e-9) {
-                best_peak = Some((*m, peak, schedule));
+            if best_peak.is_none_or(|(_, b)| peak < b - 1e-9) {
+                best_peak = Some((*m, peak));
                 // Peak progress only counts while chasing first feasibility;
                 // afterwards only net-throughput gains keep the sweep alive.
                 improved = improved || best_feasible.is_none();
@@ -528,10 +533,23 @@ fn sweep_m(platform: &Platform, pairs: &[CorePair], opts: &AoOptions) -> Result<
             break;
         }
     }
-    let (m, peak, schedule, selected) = match (best_feasible, best_peak) {
-        (Some((m, _, p, s)), _) => (m, p, s, "smallest_feasible"),
-        (None, Some((m, p, s))) => (m, p, s, "lowest_peak"),
-        _ => unreachable!("m = 1 always evaluates"),
+    let (m, peak, selected) = match (best_feasible, best_peak) {
+        (Some((m, _, p)), _) => (m, p, "smallest_feasible"),
+        (None, Some((m, p))) => (m, p, "lowest_peak"),
+        (None, None) => {
+            // Saturated at m = 1, so nothing was evaluated: δ would fill a
+            // core's whole low interval. Drop oscillation instead and let
+            // the TPT pass cool the rest down to the all-low floor.
+            mosc_obs::event(
+                "ao.m_selected",
+                &[("m", 1u64.into()), ("m_cap", m_cap.into()), ("stop", stop.into())],
+            );
+            let held_low = pairs
+                .iter()
+                .map(|p| if pairs_oscillating(p) { CorePair { ratio_high: 0.0, ..*p } } else { *p })
+                .collect();
+            return Ok((1, held_low));
+        }
     };
     mosc_obs::event(
         "ao.m_selected",
@@ -543,7 +561,7 @@ fn sweep_m(platform: &Platform, pairs: &[CorePair], opts: &AoOptions) -> Result<
             ("selected", selected.into()),
         ],
     );
-    Ok((m, schedule))
+    Ok((m, adjusted_pairs(pairs, platform, m, opts)))
 }
 
 fn pairs_oscillating(p: &CorePair) -> bool {

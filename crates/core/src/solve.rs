@@ -19,7 +19,7 @@
 //!
 //! Deadlines: [`SolveOptions::deadline`] bounds the wall time of the
 //! enumeration-heavy solvers (EXS and EXS-BnB poll the clock every few
-//! thousand nodes and abort with [`AlgoError::DeadlineExceeded`]). The
+//! thousand nodes and abort with [`crate::AlgoError::DeadlineExceeded`]). The
 //! polynomial-time solvers ignore the deadline — their runtime is bounded by
 //! construction — which the field's documentation pins as the contract.
 
@@ -129,7 +129,7 @@ pub struct SolveOptions {
     pub max_m: usize,
     /// Wall-clock budget for the enumeration solvers. EXS and EXS-BnB poll
     /// the clock every few thousand evaluations and abort with
-    /// [`AlgoError::DeadlineExceeded`]; the polynomial-time solvers (LNS,
+    /// [`crate::AlgoError::DeadlineExceeded`]; the polynomial-time solvers (LNS,
     /// AO, PCO, governor) ignore it — their runtime is bounded by
     /// construction. `None` = unbounded.
     pub deadline: Option<Duration>,
@@ -353,10 +353,10 @@ impl SolveReport {
 /// CLI, `mosc-bench`, the `mosc-serve` daemon — dispatches through.
 ///
 /// # Errors
-/// * [`AlgoError::Infeasible`] when even the all-lowest assignment violates
+/// * [`crate::AlgoError::Infeasible`] when even the all-lowest assignment violates
 ///   `T_max`.
-/// * [`AlgoError::InvalidOptions`] for out-of-range options.
-/// * [`AlgoError::DeadlineExceeded`] when an enumeration solver ran past
+/// * [`crate::AlgoError::InvalidOptions`] for out-of-range options.
+/// * [`crate::AlgoError::DeadlineExceeded`] when an enumeration solver ran past
 ///   [`SolveOptions::deadline`].
 /// * Propagated evaluation failures.
 pub fn solve(kind: SolverKind, platform: &Platform, opts: &SolveOptions) -> Result<SolveReport> {

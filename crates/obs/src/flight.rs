@@ -1,7 +1,7 @@
 //! A flight recorder: a fixed-size, lock-light ring buffer of compact
 //! span/event entries that is cheap enough to leave on in production and is
 //! snapshotted *after* something went wrong — the post-mortem counterpart
-//! to the live span tree in [`crate::TraceContext`].
+//! to the live span tree in [`crate::SpanCapture`].
 //!
 //! The ring records continuously and forgets continuously: every entry is
 //! stamped with a global sequence number, the newest `capacity` entries are

@@ -1,12 +1,11 @@
 //! Log-bucketed latency histograms with quantile estimation.
 //!
-//! The streaming [`crate::Histogram`] keeps only count/sum/min/max — enough
-//! for solver search statistics, useless for tail latency. A
-//! [`LogHistogram`] adds a fixed set of logarithmically spaced buckets
-//! (eight per decade from 1 µs to 1000 s, plus an underflow and an overflow
-//! bucket), so p50/p90/p99 estimates carry a bounded *relative* error of one
-//! bucket ratio (10^(1/8) ≈ 1.33×) across nine decades of latency, with
-//! `const` construction and lock-free relaxed-atomic recording.
+//! A [`LogHistogram`] keeps count/sum/min/max plus a fixed set of
+//! logarithmically spaced buckets (eight per decade from 1 µs to 1000 s,
+//! plus an underflow and an overflow bucket), so p50/p90/p99 estimates carry
+//! a bounded *relative* error of one bucket ratio (10^(1/8) ≈ 1.33×) across
+//! nine decades of latency, with `const` construction and lock-free
+//! relaxed-atomic recording.
 //!
 //! [`LogHistogram`] is a standalone primitive: unlike [`crate::Counter`] it
 //! does not register into the global telemetry snapshot, because its main
@@ -20,9 +19,10 @@
 //! [`HistoSnapshot`] freezes a histogram into plain data that can be
 //! **merged** with other snapshots (same fixed layout, so merging is
 //! element-wise) — that is how per-op histograms fold into one service-wide
-//! quantile — and queried for [`HistoSnapshot::quantile`].
+//! quantile — and queried for [`HistoSnapshot::quantile`]. A snapshot also
+//! accumulates directly through [`HistoSnapshot::record`], which is how a
+//! [`crate::Timeline`] window fills.
 
-use crate::metric::{f64_to_ordered, ordered_to_f64};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Buckets per decade: relative resolution 10^(1/8) ≈ 1.33×.
@@ -61,6 +61,27 @@ pub(crate) fn bucket_index(v: f64) -> usize {
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let idx = exp.ceil().max(1.0) as usize;
     idx.min(LOG_BUCKETS - 1)
+}
+
+/// Maps an `f64` to a `u64` whose unsigned order matches the float order
+/// (standard sign-flip trick; NaN samples are rejected before this), so
+/// plain `fetch_min`/`fetch_max` maintain min/max without CAS loops.
+fn f64_to_ordered(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 0 {
+        bits | (1 << 63)
+    } else {
+        !bits
+    }
+}
+
+/// Inverse of [`f64_to_ordered`].
+fn ordered_to_f64(key: u64) -> f64 {
+    if key >> 63 == 1 {
+        f64::from_bits(key & !(1 << 63))
+    } else {
+        f64::from_bits(!key)
+    }
 }
 
 /// The most recent `(trace id, value)` sample retained for one bucket —
@@ -137,7 +158,7 @@ pub struct LogHistogram {
     counts: [AtomicU64; LOG_BUCKETS],
     /// Sum of samples, `f64` bits updated through a CAS loop.
     sum_bits: AtomicU64,
-    /// Min/max as ordered keys (see `metric::f64_to_ordered`).
+    /// Min/max as ordered keys (see [`f64_to_ordered`]).
     min_key: AtomicU64,
     max_key: AtomicU64,
     /// Per-bucket most-recent exemplars (stamped only by
@@ -282,6 +303,17 @@ impl HistoSnapshot {
         }
     }
 
+    /// Adds one sample into the same bucket, in the same summation order,
+    /// as [`LogHistogram::record`] would. Ungated and unfiltered: the caller
+    /// drops NaN samples first.
+    pub fn record(&mut self, v: f64) {
+        self.counts[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
     /// Folds `other` into `self` bucket-by-bucket. Snapshots share one fixed
     /// layout, so merging loses nothing: quantiles of the merge equal
     /// quantiles of the concatenated sample streams (up to bucket width).
@@ -375,6 +407,15 @@ mod tests {
                 assert!(v > bucket_upper(i - 1), "{v} below its bucket's lower bound");
             }
         }
+    }
+
+    #[test]
+    fn ordered_key_roundtrip() {
+        for v in [-1e300, -1.0, -0.0, 0.0, 1.0, 1e300] {
+            assert_eq!(ordered_to_f64(f64_to_ordered(v)), v);
+        }
+        assert!(f64_to_ordered(-1.0) < f64_to_ordered(0.0));
+        assert!(f64_to_ordered(0.0) < f64_to_ordered(1.0));
     }
 
     #[test]

@@ -4,23 +4,32 @@
 //! The AO/PCO solvers are iterative searches whose cost is dominated by
 //! repeated steady-state evaluations through the matrix exponential; this
 //! crate makes those searches visible without adding any crates.io
-//! dependency and without slowing the common path down. Three primitives:
+//! dependency and without slowing the common path down. Three registered
+//! primitives:
 //!
-//! * **Spans** ([`span`], [`span!`]) — RAII guards recording nested wall
+//! * **Spans** ([`span()`], [`span!`]) — RAII guards recording nested wall
 //!   time into a thread-local tree. When the root span of a thread closes,
 //!   the tree is merged into a global aggregate keyed by call path
 //!   (`"ao.solve/ao.sweep_m"`), so repeated calls fold into one node with a
-//!   call count, total time, and derived self time.
-//! * **Metrics** ([`Counter`], [`Gauge`], [`Histogram`]) — named values
-//!   declared as `static`s at their point of use and registered lazily on
-//!   first touch. Counters are monotonically increasing `u64`s
-//!   (`expm.calls`), gauges hold one `f64`, histograms keep streaming
-//!   count/sum/min/max summaries.
+//!   call count, total time, and derived self time. A [`SpanCapture`]
+//!   additionally collects one request's trees.
+//! * **Metrics** ([`Counter`], [`Gauge`]) — named values declared as
+//!   `static`s at their point of use and registered lazily on first touch.
+//!   Counters are monotonically increasing `u64`s (`expm.calls`), gauges
+//!   hold one `f64`.
 //! * **Events** ([`event`]) — structured records of solver decisions (the
 //!   chosen oscillation factor, each TPT swap, `BnB` incumbents) with typed
 //!   fields, capped at [`MAX_EVENTS`] per run.
 //!
-//! Everything routes through one process-global recorder that is **disabled
+//! Beside them sit owned primitives that never register into the snapshot;
+//! their user renders them: the one histogram type [`LogHistogram`] (log
+//! buckets plus count/sum/min/max, frozen into a mergeable
+//! [`HistoSnapshot`]) and the lock-free per-second [`RateWindow`], plus
+//! three that ignore the recorder switch: the [`FlightRecorder`] ring (armed
+//! per instance), the always-on [`CounterCell`] and the opt-in windowed
+//! [`Timeline`].
+//!
+//! The rest routes through one process-global recorder that is **disabled
 //! by default**: the disabled fast path of every primitive is a single
 //! relaxed atomic load and an early return, so release binaries keep their
 //! performance unless a run opts in via [`enable`] (the CLI's `--obs` flag
@@ -47,6 +56,7 @@
 //! mosc_obs::reset();
 //! ```
 
+mod capture;
 mod event;
 mod flight;
 mod histo;
@@ -55,19 +65,18 @@ mod rate;
 mod report;
 mod span;
 mod timeline;
-mod trace;
 
+pub use capture::SpanCapture;
 pub use event::{event, FieldValue, MAX_EVENTS};
 pub use flight::{
     FlightEntry, FlightKind, FlightRecorder, FlightSnapshot, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use histo::{bucket_upper, Exemplar, HistoSnapshot, LogHistogram, LOG_BUCKETS};
-pub use metric::{counter_value, Counter, CounterCell, Gauge, Histogram};
+pub use metric::{counter_value, Counter, CounterCell, Gauge};
 pub use rate::RateWindow;
-pub use report::{EventRecord, HistSummary, SpanStats, Telemetry};
+pub use report::{EventRecord, SpanStats, Telemetry};
 pub use span::{span, SpanGuard};
 pub use timeline::{Timeline, TimelineWindow, MAX_GAP_WINDOWS};
-pub use trace::{TraceContext, TraceSnapshot};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -92,8 +101,8 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Clears all recorded state: span aggregates, counter/gauge/histogram
-/// values and registrations, and the event log. Metric statics re-register
+/// Clears all recorded state: span aggregates, counter/gauge values and
+/// registrations, and the event log. Metric statics re-register
 /// themselves on their next enabled record, so a snapshot after a reset
 /// only shows metrics touched since. The enabled flag is left untouched so
 /// callers can reset between phases of one observed run.
@@ -121,8 +130,6 @@ pub fn snapshot() -> Telemetry {
 /// atomically swapped to zero (no increment is lost or double-counted) and
 /// stay registered; the event log is taken whole and its [`MAX_EVENTS`]
 /// budget re-opens; gauges are levels, not flows, and keep their value.
-/// Streaming histograms clear field-by-field, so a sample racing the drain
-/// may split its count and sum across two windows — best-effort by design.
 #[must_use]
 pub fn drain() -> Telemetry {
     Telemetry::capture_drain()
@@ -130,7 +137,7 @@ pub fn drain() -> Telemetry {
 
 /// Opens a named span for the enclosing scope: `span!("ao.sweep_m");`
 /// expands to a guard local that closes when the scope ends. Use the
-/// [`span`] function directly when the guard needs an explicit name or an
+/// [`span()`] function directly when the guard needs an explicit name or an
 /// explicit drop point.
 #[macro_export]
 macro_rules! span {
@@ -169,18 +176,16 @@ mod tests {
 
         static INERT_COUNTER: Counter = Counter::new("inert.counter");
         static INERT_GAUGE: Gauge = Gauge::new("inert.gauge");
-        static INERT_HIST: Histogram = Histogram::new("inert.hist");
         static INERT_LOG_HIST: LogHistogram = LogHistogram::new("inert.log_hist");
         static INERT_RATE: RateWindow = RateWindow::new();
-        let ctx = TraceContext::new();
-        let observed = ctx.observe(|| {
+        let capture = SpanCapture::new();
+        let observed = capture.observe(|| {
             let g = span("inert.root");
             assert!(!g.is_armed(), "span guard must not arm while disabled");
             let inner = span("inert.child");
             assert!(!inner.is_armed());
             INERT_COUNTER.add(5);
             INERT_GAUGE.set(1.5);
-            INERT_HIST.record(2.0);
             INERT_LOG_HIST.record(0.25);
             INERT_RATE.tick(3);
             event("inert.event", &[("x", 1u64.into())]);
@@ -193,11 +198,10 @@ mod tests {
         assert!(t.events().is_empty(), "disabled events must not record");
         assert_eq!(t.counter("inert.counter"), None);
         assert_eq!(t.gauge("inert.gauge"), None);
-        assert!(t.histogram("inert.hist").is_none());
         assert!(INERT_LOG_HIST.is_empty(), "disabled log histogram must not bucket");
         assert_eq!(INERT_LOG_HIST.snapshot().count, 0);
         assert!(INERT_RATE.per_sec().abs() < f64::EPSILON, "disabled rate must read 0");
-        assert!(ctx.snapshot().is_empty(), "disabled trace context must capture nothing");
+        assert!(capture.snapshot().is_empty(), "disabled span capture must capture nothing");
     }
 
     #[test]

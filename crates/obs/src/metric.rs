@@ -1,4 +1,4 @@
-//! Named metrics: counters, gauges and streaming histograms.
+//! Named metrics: counters and gauges.
 //!
 //! Metrics are declared as `static`s at their point of use
 //! (`static CALLS: Counter = Counter::new("expm.calls");`) and register
@@ -16,11 +16,10 @@ use std::sync::Mutex;
 struct Registry {
     counters: Vec<&'static Counter>,
     gauges: Vec<&'static Gauge>,
-    histograms: Vec<&'static Histogram>,
 }
 
 static REGISTRY: Mutex<Registry> =
-    Mutex::new(Registry { counters: Vec::new(), gauges: Vec::new(), histograms: Vec::new() });
+    Mutex::new(Registry { counters: Vec::new(), gauges: Vec::new() });
 
 fn registry() -> std::sync::MutexGuard<'static, Registry> {
     REGISTRY.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -60,7 +59,6 @@ impl Counter {
         }
         self.ensure_registered();
         self.value.fetch_add(n, Ordering::Relaxed);
-        crate::trace::on_counter(self.name, n);
     }
 
     /// Current value (0 until the first enabled `add`).
@@ -171,104 +169,6 @@ impl Gauge {
     }
 }
 
-/// A streaming summary of recorded samples: count, sum, min, max. Cheap
-/// enough for per-evaluation recording without storing every sample.
-#[derive(Debug)]
-pub struct Histogram {
-    name: &'static str,
-    count: AtomicU64,
-    /// Sum of samples, `f64` bits updated through a CAS loop.
-    sum_bits: AtomicU64,
-    /// Min/max as *ordered* `u64` keys (see [`f64_to_ordered`]), so plain
-    /// `fetch_min`/`fetch_max` maintain them without CAS loops.
-    min_key: AtomicU64,
-    max_key: AtomicU64,
-    registered: AtomicBool,
-}
-
-/// Maps an `f64` to a `u64` whose unsigned order matches the float order
-/// (standard sign-flip trick; NaN samples are rejected before this).
-pub(crate) fn f64_to_ordered(v: f64) -> u64 {
-    let bits = v.to_bits();
-    if bits >> 63 == 0 {
-        bits | (1 << 63)
-    } else {
-        !bits
-    }
-}
-
-/// Inverse of [`f64_to_ordered`].
-pub(crate) fn ordered_to_f64(key: u64) -> f64 {
-    if key >> 63 == 1 {
-        f64::from_bits(key & !(1 << 63))
-    } else {
-        f64::from_bits(!key)
-    }
-}
-
-impl Histogram {
-    /// Declares a histogram. `const`, so it can initialise a `static`.
-    #[must_use]
-    pub const fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0),
-            min_key: AtomicU64::new(u64::MAX),
-            max_key: AtomicU64::new(0),
-            registered: AtomicBool::new(false),
-        }
-    }
-
-    /// The histogram's registry name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Records one sample. NaN samples are dropped. No-op while disabled.
-    pub fn record(&'static self, v: f64) {
-        if !crate::enabled() || v.is_nan() {
-            return;
-        }
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            registry().histograms.push(self);
-        }
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        let key = f64_to_ordered(v);
-        self.min_key.fetch_min(key, Ordering::Relaxed);
-        self.max_key.fetch_max(key, Ordering::Relaxed);
-    }
-
-    /// Current summary, `None` until the first enabled `record`.
-    #[must_use]
-    pub fn summary(&self) -> Option<crate::report::HistSummary> {
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return None;
-        }
-        Some(crate::report::HistSummary {
-            count,
-            sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
-            min: ordered_to_f64(self.min_key.load(Ordering::Relaxed)),
-            max: ordered_to_f64(self.max_key.load(Ordering::Relaxed)),
-        })
-    }
-}
-
 /// Zeroes and unregisters every registered metric, so the next snapshot
 /// only lists metrics touched after the reset. A metric static re-registers
 /// itself on its next enabled record.
@@ -283,13 +183,6 @@ pub(crate) fn reset() {
         g.set_once.store(false, Ordering::Relaxed);
         g.registered.store(false, Ordering::Relaxed);
     }
-    for h in reg.histograms.drain(..) {
-        h.count.store(0, Ordering::Relaxed);
-        h.sum_bits.store(0, Ordering::Relaxed);
-        h.min_key.store(u64::MAX, Ordering::Relaxed);
-        h.max_key.store(0, Ordering::Relaxed);
-        h.registered.store(false, Ordering::Relaxed);
-    }
 }
 
 /// Reads one registered counter's current value by name, without taking a
@@ -301,9 +194,8 @@ pub fn counter_value(name: &str) -> Option<u64> {
     registry().counters.iter().find(|c| c.name == name).map(|c| c.value())
 }
 
-/// Snapshot triple of (counters, gauges, histograms).
-pub(crate) type MetricSnapshot =
-    (Vec<(String, u64)>, Vec<(String, f64)>, Vec<(String, crate::report::HistSummary)>);
+/// Snapshot pair of (counters, gauges).
+pub(crate) type MetricSnapshot = (Vec<(String, u64)>, Vec<(String, f64)>);
 
 /// Snapshot of all registered metrics with a nonzero/recorded state,
 /// sorted by name for stable rendering.
@@ -313,23 +205,15 @@ pub(crate) fn collect() -> MetricSnapshot {
         reg.counters.iter().map(|c| (c.name.to_string(), c.value())).collect();
     let mut gauges: Vec<(String, f64)> =
         reg.gauges.iter().filter_map(|g| g.value().map(|v| (g.name.to_string(), v))).collect();
-    let mut hists: Vec<(String, crate::report::HistSummary)> = reg
-        .histograms
-        .iter()
-        .filter_map(|h| h.summary().map(|s| (h.name.to_string(), s)))
-        .collect();
     counters.sort_by(|a, b| a.0.cmp(&b.0));
     gauges.sort_by(|a, b| a.0.cmp(&b.0));
-    hists.sort_by(|a, b| a.0.cmp(&b.0));
-    (counters, gauges, hists)
+    (counters, gauges)
 }
 
-/// Like [`collect`], but *consumes* counter and histogram values: counters
-/// are atomically swapped to zero (an increment lands either in this drain
-/// or the next — never lost, never doubled), histograms have their fields
-/// cleared (field-by-field, so a sample racing the drain may split its
-/// count and sum across two windows — documented best-effort), and gauges
-/// keep their last value (they are levels, not flows). Registrations are
+/// Like [`collect`], but *consumes* counter values: counters are
+/// atomically swapped to zero (an increment lands either in this drain or
+/// the next — never lost, never doubled), and gauges keep their last value
+/// (they are levels, not flows). Registrations are
 /// kept, so drained metrics reappear in the next window without a
 /// re-registration race.
 pub(crate) fn drain_collect() -> MetricSnapshot {
@@ -341,22 +225,9 @@ pub(crate) fn drain_collect() -> MetricSnapshot {
         .collect();
     let mut gauges: Vec<(String, f64)> =
         reg.gauges.iter().filter_map(|g| g.value().map(|v| (g.name.to_string(), v))).collect();
-    let mut hists: Vec<(String, crate::report::HistSummary)> = reg
-        .histograms
-        .iter()
-        .filter_map(|h| {
-            let count = h.count.swap(0, Ordering::Relaxed);
-            let sum = f64::from_bits(h.sum_bits.swap(0, Ordering::Relaxed));
-            let min = ordered_to_f64(h.min_key.swap(u64::MAX, Ordering::Relaxed));
-            let max = ordered_to_f64(h.max_key.swap(0, Ordering::Relaxed));
-            (count > 0)
-                .then(|| (h.name.to_string(), crate::report::HistSummary { count, sum, min, max }))
-        })
-        .collect();
     counters.sort_by(|a, b| a.0.cmp(&b.0));
     gauges.sort_by(|a, b| a.0.cmp(&b.0));
-    hists.sort_by(|a, b| a.0.cmp(&b.0));
-    (counters, gauges, hists)
+    (counters, gauges)
 }
 
 #[cfg(test)]
@@ -401,25 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_summarises_including_negatives() {
-        let _guard = test_lock::hold();
-        crate::enable();
-        crate::reset();
-        static H: Histogram = Histogram::new("metric.hist");
-        for v in [2.0, -1.0, 5.5, 0.0] {
-            H.record(v);
-        }
-        H.record(f64::NAN); // dropped
-        let s = H.summary().expect("recorded");
-        assert_eq!(s.count, 4);
-        assert!((s.sum - 6.5).abs() < 1e-12);
-        assert_eq!(s.min, -1.0);
-        assert_eq!(s.max, 5.5);
-        crate::disable();
-        crate::reset();
-    }
-
-    #[test]
     fn reset_zeroes_and_unregisters() {
         let _guard = test_lock::hold();
         crate::enable();
@@ -436,14 +288,5 @@ mod tests {
         assert_eq!(crate::snapshot().counter("metric.reset_counter"), Some(2));
         crate::disable();
         crate::reset();
-    }
-
-    #[test]
-    fn ordered_key_roundtrip() {
-        for v in [-1e300, -1.0, -0.0, 0.0, 1.0, 1e300] {
-            assert_eq!(ordered_to_f64(f64_to_ordered(v)), v);
-        }
-        assert!(f64_to_ordered(-1.0) < f64_to_ordered(0.0));
-        assert!(f64_to_ordered(0.0) < f64_to_ordered(1.0));
     }
 }

@@ -80,7 +80,7 @@ impl RateWindow {
     }
 
     /// Mean events/second over the completed seconds still inside the ring
-    /// (at most [`SLOTS`] − 1 of them; the in-progress second is excluded).
+    /// (at most 15 of them; the in-progress second is excluded).
     /// 0 until one full second has elapsed past the first tick.
     #[must_use]
     pub fn per_sec(&self) -> f64 {

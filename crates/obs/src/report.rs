@@ -28,31 +28,6 @@ pub struct SpanStats {
     pub self_time: Duration,
 }
 
-/// Streaming summary of one histogram.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistSummary {
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Sum of samples.
-    pub sum: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-}
-
-impl HistSummary {
-    /// Mean sample value.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
 /// One recorded decision event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
@@ -68,7 +43,6 @@ pub struct Telemetry {
     spans: Vec<SpanStats>,
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, f64)>,
-    histograms: Vec<(String, HistSummary)>,
     events: Vec<EventRecord>,
     events_dropped: u64,
 }
@@ -78,9 +52,9 @@ impl Telemetry {
     #[must_use]
     pub fn capture() -> Self {
         let spans = crate::span::collect();
-        let (counters, gauges, histograms) = crate::metric::collect();
+        let (counters, gauges) = crate::metric::collect();
         let (events, events_dropped) = crate::event::collect();
-        Self { spans, counters, gauges, histograms, events, events_dropped }
+        Self { spans, counters, gauges, events, events_dropped }
     }
 
     /// Captures and *consumes* the current recorder state (see
@@ -88,9 +62,9 @@ impl Telemetry {
     #[must_use]
     pub fn capture_drain() -> Self {
         let spans = crate::span::drain_collect();
-        let (counters, gauges, histograms) = crate::metric::drain_collect();
+        let (counters, gauges) = crate::metric::drain_collect();
         let (events, events_dropped) = crate::event::drain_collect();
-        Self { spans, counters, gauges, histograms, events, events_dropped }
+        Self { spans, counters, gauges, events, events_dropped }
     }
 
     /// Completed spans in preorder (parents before children).
@@ -129,18 +103,6 @@ impl Telemetry {
         self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
-    /// Recorded histograms sorted by name.
-    #[must_use]
-    pub fn histograms(&self) -> &[(String, HistSummary)] {
-        &self.histograms
-    }
-
-    /// A histogram's summary by name; `None` when never recorded.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<HistSummary> {
-        self.histograms.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-
     /// Recorded events in emission order.
     #[must_use]
     pub fn events(&self) -> &[EventRecord] {
@@ -159,7 +121,6 @@ impl Telemetry {
         self.spans.is_empty()
             && self.counters.is_empty()
             && self.gauges.is_empty()
-            && self.histograms.is_empty()
             && self.events.is_empty()
     }
 
@@ -201,19 +162,6 @@ impl Telemetry {
                 let _ = writeln!(out, "  {name:<32} {v:>12.6}");
             }
         }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms (count / mean / min / max):\n");
-            for (name, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "  {name:<32} {count:>8} {mean:>12.6} {min:>12.6} {max:>12.6}",
-                    count = h.count,
-                    mean = h.mean(),
-                    min = h.min,
-                    max = h.max,
-                );
-            }
-        }
         if !self.events.is_empty() {
             out.push_str("events:\n");
             for e in &self.events {
@@ -231,8 +179,8 @@ impl Telemetry {
     }
 
     /// Serialises the snapshot as JSONL: one JSON object per line with a
-    /// `"type"` discriminator (`span`, `counter`, `gauge`, `hist`,
-    /// `event`). Every line parses with `mosc-analyze`'s JSON reader.
+    /// `"type"` discriminator (`span`, `counter`, `gauge`, `event`, `meta`).
+    /// Every line parses with `mosc-analyze`'s JSON reader.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
@@ -258,17 +206,6 @@ impl Telemetry {
                 "{{\"type\":\"gauge\",\"name\":{},\"value\":{}}}",
                 json_str(name),
                 json_f64(*v)
-            );
-        }
-        for (name, h) in &self.histograms {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"hist\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
-                json_str(name),
-                h.count,
-                json_f64(h.sum),
-                json_f64(h.min),
-                json_f64(h.max),
             );
         }
         for e in &self.events {
@@ -372,19 +309,15 @@ mod tests {
         crate::reset();
         static C: crate::Counter = crate::Counter::new("rep.counter");
         static G: crate::Gauge = crate::Gauge::new("rep.gauge");
-        static H: crate::Histogram = crate::Histogram::new("rep.hist");
         {
             let _root = crate::span("rep.root");
             let _leaf = crate::span("rep.leaf");
             C.incr();
             G.set(2.5);
-            H.record(1.0);
             crate::event("rep.done", &[("why", "test".into())]);
         }
         let text = crate::snapshot().render_pretty();
-        for needle in
-            ["rep.root", "rep.leaf", "rep.counter", "rep.gauge", "rep.hist", "rep.done", "why=test"]
-        {
+        for needle in ["rep.root", "rep.leaf", "rep.counter", "rep.gauge", "rep.done", "why=test"] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
         crate::disable();

@@ -177,8 +177,8 @@ impl Drop for SpanGuard {
                     global.get_or_insert_with(TreeState::default).merge(&local);
                 }
                 // An active request capture on this thread gets its own copy
-                // of the completed tree (see `crate::trace`).
-                crate::trace::on_root_tree(&local);
+                // of the completed tree (see `crate::capture`).
+                crate::capture::on_root_tree(&local);
                 *local = TreeState::default();
             });
         }
@@ -211,7 +211,7 @@ pub(crate) fn drain_collect() -> Vec<crate::report::SpanStats> {
 
 /// Flattens any span tree into per-path stats, parents before children
 /// (preorder), children in first-seen order. Shared by the global aggregate
-/// snapshot and per-request [`crate::TraceContext`] captures.
+/// snapshot and per-request [`crate::SpanCapture`]s.
 pub(crate) fn stats_of(tree: &TreeState) -> Vec<crate::report::SpanStats> {
     let mut out = Vec::new();
     fn walk(

@@ -2,8 +2,8 @@
 //!
 //! A summary quantile hides *when* latency went bad: a saturation knee, a
 //! cache warm-up, a queue excursion all average away. A [`Timeline`] slices
-//! a run into fixed-width windows and accumulates, per window, the request
-//! count, a full log-bucketed latency histogram (same fixed layout as
+//! a run into fixed-width windows and accumulates, per window, a latency
+//! [`HistoSnapshot`] (the request count, and the same fixed buckets as
 //! [`crate::LogHistogram`], so per-window quantiles carry the same one-
 //! bucket error bar), the cache-hit count, and the peak queue depth seen.
 //! Closed windows render as JSONL `{"type":"timeline",...}` lines — the
@@ -30,8 +30,7 @@
 //! between two active ones so an idle spell shows as zeros instead of
 //! silently compressing the time axis.
 
-use crate::histo::{bucket_index, HistoSnapshot};
-use crate::LOG_BUCKETS;
+use crate::histo::HistoSnapshot;
 use std::fmt::Write as _;
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -120,27 +119,14 @@ impl TimelineWindow {
 /// The in-progress window's accumulator.
 struct Open {
     index: u64,
-    counts: [u64; LOG_BUCKETS],
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
+    histo: HistoSnapshot,
     hits: u64,
     queue_depth_peak: u64,
 }
 
 impl Open {
     fn new(index: u64) -> Self {
-        Self {
-            index,
-            counts: [0; LOG_BUCKETS],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            hits: 0,
-            queue_depth_peak: 0,
-        }
+        Self { index, histo: HistoSnapshot::empty(), hits: 0, queue_depth_peak: 0 }
     }
 
     fn close(&self, window_s: f64) -> TimelineWindow {
@@ -149,13 +135,7 @@ impl Open {
             index: self.index,
             start_s: self.index as f64 * window_s,
             len_s: window_s,
-            histo: HistoSnapshot {
-                counts: self.counts,
-                count: self.count,
-                sum: self.sum,
-                min: self.min,
-                max: self.max,
-            },
+            histo: self.histo,
             hits: self.hits,
             queue_depth_peak: self.queue_depth_peak,
         }
@@ -235,14 +215,9 @@ impl Timeline {
         }
         let mut inner = self.lock();
         self.advance(&mut inner, t_s);
-        let cur = &mut inner.cur;
-        cur.counts[bucket_index(latency_s)] += 1;
-        cur.count += 1;
-        cur.sum += latency_s;
-        cur.min = cur.min.min(latency_s);
-        cur.max = cur.max.max(latency_s);
+        inner.cur.histo.record(latency_s);
         if cache_hit {
-            cur.hits += 1;
+            inner.cur.hits += 1;
         }
     }
 
@@ -446,6 +421,25 @@ mod tests {
                 assert!(!line.contains("inf") && !line.contains("NaN"), "{line}");
             }
         });
+    }
+
+    #[test]
+    fn closed_window_histo_equals_a_log_histogram_snapshot() {
+        let _guard = crate::test_lock::hold();
+        crate::enable();
+        let t = Timeline::new(1.0);
+        let h = crate::LogHistogram::new("timeline.fold");
+        for v in [3.2e-4, 0.0107, 1e-7, 0.5, 0.0107, 2.5e3, 0.049, 1e-6] {
+            t.record_at(0.25, v, false);
+            h.record(v);
+        }
+        crate::disable();
+        let (window, direct) = (t.finish()[0].histo, h.snapshot());
+        assert_eq!(window.counts, direct.counts);
+        assert_eq!(window.count, direct.count);
+        assert_eq!(window.sum.to_bits(), direct.sum.to_bits());
+        assert_eq!(window.min.to_bits(), direct.min.to_bits());
+        assert_eq!(window.max.to_bits(), direct.max.to_bits());
     }
 
     #[test]

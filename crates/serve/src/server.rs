@@ -31,7 +31,7 @@
 //! the access log). When [`ServeBuilder::access_log`] is set, every
 //! completed request appends one JSONL line; requests whose `total` is at
 //! least [`ServeBuilder::slow_threshold`] additionally carry the solver's
-//! span tree captured via [`mosc_obs::TraceContext`].
+//! span tree captured via [`mosc_obs::SpanCapture`].
 //!
 //! Shutdown is a protocol op, not a signal: the workspace forbids `unsafe`
 //! outside the poller, so no signal handler is installed, and
@@ -51,9 +51,7 @@ use crate::proto::{
 use crate::queue::{BoundedQueue, QueueFull};
 use mosc_analyze::json::Value;
 use mosc_core::{BatchVariant, KernelDelta, SolveOptions, SolverKind};
-use mosc_obs::{
-    bucket_upper, FlightKind, FlightRecorder, TraceContext, TraceSnapshot, LOG_BUCKETS,
-};
+use mosc_obs::{bucket_upper, FlightKind, FlightRecorder, SpanCapture, SpanStats, LOG_BUCKETS};
 use std::fs::File;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -565,7 +563,7 @@ fn answer_panic(shared: &Shared, job: &Job, t_dequeue: Instant) -> Reply {
         service_start: t_dequeue,
         deadline_at: job.deadline_at,
         kernel: KernelDelta::default(),
-        trace: None,
+        spans: None,
         batch,
         ids: job.trace,
     };
@@ -600,7 +598,7 @@ struct Completion<'a> {
     service_start: Instant,
     deadline_at: Option<Instant>,
     kernel: KernelDelta,
-    trace: Option<TraceSnapshot>,
+    spans: Option<Vec<SpanStats>>,
     /// The enclosing `solve_batch` request id when this completion is one
     /// variant of a batch (the M110/M111 lints group entries on it);
     /// `None` for single solves and protocol ops.
@@ -635,7 +633,7 @@ impl<'a> Completion<'a> {
             service_start: t_recv,
             deadline_at: None,
             kernel: KernelDelta::default(),
-            trace: None,
+            spans: None,
             batch: None,
             ids: TraceIds::continue_from(None),
         }
@@ -822,13 +820,12 @@ fn log_access(shared: &Shared, c: &Completion<'_>, done: Instant, service: f64, 
         members.push(("batch".to_owned(), Value::String(batch.to_owned())));
     }
     if total >= shared.opts.slow_threshold.as_secs_f64() {
-        if let Some(trace) = c.trace.as_ref().filter(|t| !t.is_empty()) {
+        if let Some(captured) = c.spans.as_ref().filter(|t| !t.is_empty()) {
             // A pathological solve can open thousands of distinct span
             // paths; cap the attachment so one bad request cannot balloon
             // the log line, and say how much was cut (the M091 span lint
             // skips containment checks on truncated entries).
-            let spans: Vec<Value> = trace
-                .spans
+            let spans: Vec<Value> = captured
                 .iter()
                 .take(MAX_ACCESS_SPANS)
                 .map(|s| {
@@ -842,8 +839,8 @@ fn log_access(shared: &Shared, c: &Completion<'_>, done: Instant, service: f64, 
                 })
                 .collect();
             members.push(("spans".to_owned(), Value::Array(spans)));
-            if trace.spans.len() > MAX_ACCESS_SPANS {
-                let cut = trace.spans.len() - MAX_ACCESS_SPANS;
+            if captured.len() > MAX_ACCESS_SPANS {
+                let cut = captured.len() - MAX_ACCESS_SPANS;
                 members.push(("spans_truncated".to_owned(), num(cut as f64)));
             }
         }
@@ -965,7 +962,7 @@ fn process_job(
         service_start: t_dequeue,
         deadline_at: job.deadline_at,
         kernel: KernelDelta::default(),
-        trace: None,
+        spans: None,
         batch: None,
         ids: job.trace,
     };
@@ -1006,11 +1003,11 @@ fn process_job(
         }
     };
     let opts = SolveOptions { deadline: remaining, ..req.options };
-    // The context hands this request's identity across the solve: the
-    // solver's root span tree and counter increments recorded on this
-    // thread land in the snapshot attached to the access-log line.
-    let trace = TraceContext::new();
-    let result = trace.observe(|| mosc_core::solve(req.kind, &platform, &opts));
+    // The solver's root span tree recorded on this thread lands in the
+    // snapshot attached to the access-log line; kernel counters travel as
+    // the report's `KernelDelta`, which also sees AO's fan-out threads.
+    let capture = SpanCapture::new();
+    let result = capture.observe(|| mosc_core::solve(req.kind, &platform, &opts));
     match result {
         Ok(report) => {
             // The deadline must hold when the response is written, not just
@@ -1032,7 +1029,7 @@ fn process_job(
                     &Completion {
                         status: "error",
                         kernel: report.kernel,
-                        trace: Some(trace.snapshot()),
+                        spans: Some(capture.snapshot()),
                         ..base
                     },
                 );
@@ -1054,7 +1051,7 @@ fn process_job(
             finish(
                 shared,
                 &line,
-                &Completion { kernel: report.kernel, trace: Some(trace.snapshot()), ..base },
+                &Completion { kernel: report.kernel, spans: Some(capture.snapshot()), ..base },
             )
         }
         Err(e) => {
@@ -1065,7 +1062,7 @@ fn process_job(
             finish(
                 shared,
                 &error_to_json(id, kind.id(), &e.to_string()),
-                &Completion { status: "error", trace: Some(trace.snapshot()), ..base },
+                &Completion { status: "error", spans: Some(capture.snapshot()), ..base },
             )
         }
     }
@@ -1211,7 +1208,7 @@ fn process_batch(
             service_start: t_dequeue,
             deadline_at: None,
             kernel: o.kernel,
-            trace: None,
+            spans: None,
             batch: Some(bid),
             // Every variant is a child span of the batch's dispatch span:
             // one shared trace id, one shared parent, a fresh span each —
@@ -1373,7 +1370,7 @@ pub(crate) fn handle_line(
                         service_start: t_recv,
                         deadline_at: None,
                         kernel: KernelDelta::default(),
-                        trace: None,
+                        spans: None,
                         batch: None,
                         ids,
                     },
@@ -1424,7 +1421,7 @@ pub(crate) fn handle_line(
                             service_start: t_recv,
                             deadline_at: job.deadline_at,
                             kernel: KernelDelta::default(),
-                            trace: None,
+                            spans: None,
                             batch: None,
                             ids,
                         },

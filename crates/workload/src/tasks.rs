@@ -2,8 +2,8 @@
 //!
 //! The paper's performance metric is raw throughput (eq. 5), inherited from
 //! the real-time DVS line of work it builds on (Quan & Chaturvedi TII'10,
-//! Huang DAC'11, Chaturvedi JSA'12 — refs [2], [25], [31]). This module makes
-//! the connection concrete: given the per-core speed timeline a scheduling
+//! Huang DAC'11, Chaturvedi JSA'12 — refs \[2\], \[25\], \[31\]). This module
+//! makes the connection concrete: given the per-core speed timeline a scheduling
 //! algorithm produced, simulate a periodic task set under preemptive EDF
 //! where the processor completes work at rate `v(t)`, and report deadline
 //! behaviour. A core whose average speed exceeds the task set's utilization

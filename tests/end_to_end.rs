@@ -149,6 +149,23 @@ fn two_core_plateau_matches_paper_fig7() {
     }
 }
 
+/// On this platform the DVFS overhead compensation fills an oscillating
+/// core's whole low interval already at m = 1, so the m sweep has no
+/// candidate. AO (and PCO, which starts from AO) must still answer: the
+/// non-oscillating m = 1 schedule with those cores held low, feasible.
+#[test]
+fn ao_overhead_saturated_at_m1_falls_back_to_a_feasible_schedule() {
+    let platform = Platform::build(&PlatformSpec::paper(1, 3, 4, 46.8697)).expect("platform");
+    assert_eq!(platform.modes().levels(), &[0.6, 0.8, 1.0, 1.3]);
+    for kind in [SolverKind::Ao, SolverKind::Pco] {
+        let sol = solve(kind, &platform, &SolveOptions::default()).expect("typed answer").solution;
+        assert!(sol.feasible && sol.m == 1, "{kind:?}: m = {}", sol.m);
+        assert!(sol.peak <= platform.t_max() + mosc::algorithms::ACCEPT_EPS, "{kind:?}");
+        let simulated = rk4_peak(&platform, &sol.schedule, 2);
+        assert!(simulated <= platform.t_max() + 0.05, "{kind:?}: RK4 peak {simulated}");
+    }
+}
+
 #[test]
 fn infeasible_threshold_rejected_consistently() {
     let platform = Platform::build(&PlatformSpec::paper(3, 3, 2, 36.0)).expect("platform");

@@ -8,6 +8,8 @@
 //!   `tests/golden/serve_transcript.txt`. Re-bless after an intentional wire
 //!   change with `BLESS=1 cargo test --test serve`.
 //! * A worker panic still answers its request and lets the daemon drain.
+//! * An AO request whose overhead compensation saturates at m = 1 is
+//!   answered with a feasible schedule, not an internal error.
 #![cfg(unix)]
 
 use mosc::analyze::json::Value;
@@ -211,9 +213,9 @@ fn golden_transcript() {
     );
 }
 
-/// An AO request that panics inside the solver (the m sweep ends without a
-/// candidate). Whether or not the solver is ever fixed, the daemon owes
-/// the client exactly one answer and must still drain on `shutdown`.
+/// An AO request whose m sweep has no candidate (the overhead compensation
+/// saturates at m = 1). Whatever the solver answers, the daemon owes the
+/// client exactly one answer and must still drain on `shutdown`.
 #[test]
 fn a_worker_panic_is_answered_and_the_daemon_drains() {
     let server = Server::builder().addr("127.0.0.1:0").workers(1).bind().expect("bind 127.0.0.1:0");
@@ -252,4 +254,34 @@ fn a_worker_panic_is_answered_and_the_daemon_drains() {
     }
     join.join().expect("server thread");
     drop(stream);
+}
+
+/// The same saturated-at-m = 1 request, plus its PCO twin, against a live
+/// daemon: both come back `ok` with a feasible answer.
+#[test]
+fn overhead_saturated_ao_is_answered_feasible() {
+    let server = Server::builder().addr("127.0.0.1:0").workers(1).bind().expect("bind 127.0.0.1:0");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run().expect("serve loop"));
+
+    let t_max_c = 46.8697;
+    let platform =
+        format!(r#"{{"rows":1,"cols":3,"levels":[0.6,0.8,1.0,1.3],"t_max_c":{t_max_c}}}"#);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    for solver in ["ao", "pco"] {
+        writeln!(stream, r#"{{"id":"{solver}","solver":"{solver}","platform":{platform}}}"#)
+            .expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read response");
+        let answer = Value::parse(&line).expect("answer parses");
+        assert_eq!(answer.get("status").and_then(Value::as_str), Some("ok"), "{line}");
+        assert_eq!(answer.get("feasible").and_then(Value::as_bool), Some(true), "{line}");
+        let peak = answer.get("peak_c").and_then(Value::as_f64).expect("peak_c");
+        assert!(peak <= t_max_c + mosc::algorithms::ACCEPT_EPS, "{line}");
+    }
+    handle.shutdown();
+    join.join().expect("server thread");
 }
