@@ -22,6 +22,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+# perfbench/ is a package of its own (empty [workspace] table), so the
+# workspace clippy and test runs above never compile it.
+echo "==> perfbench unit tests (separate package)"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> mosc-obs disabled-recorder overhead guard"
 cargo test -q -p mosc-obs disabled_recorder_is_inert
 

@@ -27,7 +27,7 @@ impl fmt::Display for Severity {
 }
 
 /// Stable diagnostic codes. The numeric ranges group the lints:
-/// `M001`–`M009` platform, `M011`–`M018` schedule, `M020`–`M024` solution,
+/// `M001`–`M010` platform, `M011`–`M018` schedule, `M020`–`M024` solution,
 /// `M050`–`M054` telemetry, `M060`–`M062` serve telemetry, `M070`–`M073`
 /// serve access log, `M080`–`M083` cross-artifact consistency,
 /// `M090`–`M093` concurrency/trace invariants, `M100`–`M104` bench
@@ -57,6 +57,8 @@ pub enum Code {
     PowerNotMonotone,
     /// M009 — the DVFS transition overhead `τ` is negative or non-finite.
     OverheadInvalid,
+    /// M010 — the platform has more cores than the solvers accept.
+    TooManyCores,
     /// M011 — a segment duration is non-positive or non-finite.
     DurationInvalid,
     /// M012 — a segment voltage is negative or non-finite.
@@ -237,6 +239,7 @@ impl Code {
             Self::NotHurwitz => "M007",
             Self::PowerNotMonotone => "M008",
             Self::OverheadInvalid => "M009",
+            Self::TooManyCores => "M010",
             Self::DurationInvalid => "M011",
             Self::VoltageInvalid => "M012",
             Self::PeriodMismatch => "M013",
@@ -298,6 +301,7 @@ impl Code {
         Self::NotHurwitz,
         Self::PowerNotMonotone,
         Self::OverheadInvalid,
+        Self::TooManyCores,
         Self::DurationInvalid,
         Self::VoltageInvalid,
         Self::PeriodMismatch,
@@ -540,7 +544,7 @@ mod tests {
 
     #[test]
     fn codes_are_stable_and_unique() {
-        assert_eq!(Code::ALL.len(), 54);
+        assert_eq!(Code::ALL.len(), 55);
         let mut seen = std::collections::HashSet::new();
         for &c in Code::ALL {
             assert!(seen.insert(c.as_str()), "duplicate code string {c}");

@@ -11,7 +11,8 @@
 //!   matrix is symmetric and diagonally dominant (M005–M006), the state
 //!   matrix `A = C⁻¹(βE − G)` is Hurwitz-stable — the spectrum assumption
 //!   behind Theorems 1–5 — (M007), the power model is monotone over the
-//!   levels (M008), and the transition overhead is valid (M009).
+//!   levels (M008), the transition overhead is valid (M009), and the core
+//!   count is at most `MAX_CORES` (M010).
 //! * **schedule** ([`schedule`]) — segments are finite and positive
 //!   (M011–M012), cores share one period (M013, Definition 1), the timeline
 //!   is step-up (M014, Definition 2 / Theorem 1), and voltages are DVFS

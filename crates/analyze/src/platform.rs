@@ -1,10 +1,11 @@
 //! Platform lints: DVFS level sets, thermal-network structure, stability of
 //! the state matrix, and power-model monotonicity.
 //!
-//! The raw-value checks (`check_levels`, `check_tau`, `check_t_max_c`) run
-//! on numbers exactly as a spec file states them — *before* typed
-//! construction, because `ModeTable::from_levels` silently sorts and
-//! deduplicates and would mask M001. The typed check (`check_platform`)
+//! The raw-value checks (`check_levels`, `check_tau`, `check_t_max_c`,
+//! `check_core_count`) run on numbers exactly as a spec file states them —
+//! *before* typed construction, because `ModeTable::from_levels` silently
+//! sorts and deduplicates and would mask M001, and because construction
+//! itself is O(n³) in the core count (M010). The typed check (`check_platform`)
 //! verifies the assembled [`Platform`] against the paper's model
 //! assumptions: `G` symmetric and diagonally dominant, `A = C⁻¹(βE − G)`
 //! Hurwitz-stable (the spectrum assumption behind Theorems 1–5), and
@@ -13,6 +14,10 @@
 
 use crate::diag::{Code, Report};
 use mosc_sched::Platform;
+
+/// Most cores a platform may have (M010). `Platform::build` runs an O(n³)
+/// eigendecomposition, so the cap is checked before construction.
+pub const MAX_CORES: usize = 64;
 
 /// Relative tolerance for the `G` symmetry check.
 const SYM_TOL: f64 = 1e-9;
@@ -62,6 +67,22 @@ pub fn check_tau(tau: f64) -> Report {
             Code::OverheadInvalid,
             "platform.tau",
             format!("transition overhead must be finite and non-negative, got {tau}"),
+        );
+    }
+    report
+}
+
+/// Lints a raw platform size: M010 when `rows × cols × layers` exceeds
+/// [`MAX_CORES`].
+#[must_use]
+pub(crate) fn check_core_count(rows: usize, cols: usize, layers: usize) -> Report {
+    let mut report = Report::new();
+    let cores = rows.saturating_mul(cols).saturating_mul(layers);
+    if cores > MAX_CORES {
+        report.push(
+            Code::TooManyCores,
+            "platform",
+            format!("{rows}×{cols}×{layers} = {cores} cores exceeds the limit of {MAX_CORES}"),
         );
     }
     report
@@ -193,6 +214,9 @@ mod tests {
         assert!(check_t_max_c(35.0, 35.0).has_code(Code::TmaxNotAboveAmbient));
         assert!(check_t_max_c(20.0, 35.0).has_code(Code::TmaxNotAboveAmbient));
         assert!(check_t_max_c(55.0, 35.0).is_clean());
+        assert!(check_core_count(8, 8, 1).is_clean());
+        assert!(check_core_count(5, 5, 3).has_code(Code::TooManyCores));
+        assert!(check_core_count(usize::MAX, 2, 1).has_code(Code::TooManyCores));
     }
 
     #[test]

@@ -140,6 +140,7 @@ fn raw_platform_lints(p: &PlatformParams) -> Report {
     let mut report = Report::new();
     report.merge(plat::check_levels(&p.levels));
     report.merge(plat::check_tau(p.tau));
+    report.merge(plat::check_core_count(p.rows, p.cols, p.layers));
     report.merge(plat::check_t_max_c(p.t_max_c, Params65nm::params().t_ambient_c));
     report
 }

@@ -9,7 +9,7 @@ use mosc_sched::Platform;
 /// The evaluation's AO settings: 50 ms base period, overhead-bounded m.
 #[must_use]
 pub fn ao_options() -> AoOptions {
-    AoOptions { base_period: 0.05, max_m: 512, m_patience: 6, t_unit_divisor: 100, threads: 0 }
+    AoOptions { base_period: 0.05, max_m: 512, m_patience: 6, t_unit_divisor: 100 }
 }
 
 /// The evaluation's PCO settings (coarser sampling keeps the full grids
@@ -26,7 +26,6 @@ pub fn solve_options() -> SolveOptions {
     let ao = ao_options();
     let pco = pco_options();
     SolveOptions {
-        threads: ao.threads,
         max_m: ao.max_m,
         base_period: ao.base_period,
         m_patience: ao.m_patience,

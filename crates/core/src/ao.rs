@@ -18,10 +18,9 @@
 //!    are feasible a larger `m` only adds compensation, so the sweep keeps
 //!    the smallest feasible `m` (ties broken by net throughput); when no
 //!    factor is feasible on its own it falls back to the lowest-peak `m` and
-//!    lets the TPT pass close the gap. Candidates are independent exact
-//!    Theorem-1 evaluations, so the sweep fans batches out across scoped
-//!    threads and selects sequentially in ascending-`m` order — bit-identical
-//!    to a single-threaded sweep.
+//!    lets the TPT pass close the gap. Each candidate is one exact
+//!    Theorem-1 evaluation, swept in ascending-`m` order on the calling
+//!    thread.
 //! 4. **TPT ratio adjustment** — while the peak still exceeds `T_max`,
 //!    convert one `t_unit` of high-voltage time to low on the core with the
 //!    best temperature-per-throughput tradeoff index
@@ -50,16 +49,11 @@ pub struct AoOptions {
     pub m_patience: usize,
     /// `t_unit = compressed_period / t_unit_divisor` for the TPT pass.
     pub t_unit_divisor: usize,
-    /// Worker threads for the m sweep and the TPT trial loop (`0` = all
-    /// available). Any thread count produces bit-identical results: workers
-    /// only evaluate candidates, selection stays sequential in candidate
-    /// order.
-    pub threads: usize,
 }
 
 impl Default for AoOptions {
     fn default() -> Self {
-        Self { base_period: 0.1, max_m: 4096, m_patience: 8, t_unit_divisor: 200, threads: 0 }
+        Self { base_period: 0.1, max_m: 4096, m_patience: 8, t_unit_divisor: 200 }
     }
 }
 
@@ -136,8 +130,7 @@ pub fn solve_with(platform: &Platform, opts: &AoOptions) -> Result<Solution> {
     // Step 4: TPT ratio adjustment until the constraint holds.
     let t_c = opts.base_period / m_opt as f64;
     let t_unit = t_c / opts.t_unit_divisor as f64;
-    let (_, schedule) =
-        adjust_to_tmax_with_threads(platform, &pairs_adj, t_c, t_unit, opts.threads)?;
+    let (_, schedule) = adjust_to_tmax(platform, &pairs_adj, t_c, t_unit)?;
 
     let peak = platform.peak(&schedule)?.temp;
     let solution = Solution {
@@ -154,10 +147,6 @@ pub fn solve_with(platform: &Platform, opts: &AoOptions) -> Result<Solution> {
     );
     Ok(solution)
 }
-
-/// Outcome of one TPT swap trial: `None` when the core has no high time
-/// left to trade, otherwise the temperature reduction and trial schedule.
-type TptTrial = Result<Option<(f64, Schedule)>>;
 
 /// Algorithm 2's TPT pass (lines 14–21): starting from `pairs` on period
 /// `t_c`, repeatedly convert `t_unit` of high time to low on the core with
@@ -176,30 +165,11 @@ pub fn adjust_to_tmax(
     t_c: f64,
     t_unit: f64,
 ) -> Result<(Vec<CorePair>, Schedule)> {
-    adjust_to_tmax_with_threads(platform, pairs, t_c, t_unit, 0)
-}
-
-/// As [`adjust_to_tmax`], with an explicit worker-thread count for the
-/// per-core trial evaluations (`0` = all available, `1` = the paper's
-/// sequential loop). The trials are independent steady-state evaluations and
-/// the swap selection stays sequential in core order, so every thread count
-/// returns bit-identical results.
-///
-/// # Errors
-/// See [`adjust_to_tmax`].
-pub fn adjust_to_tmax_with_threads(
-    platform: &Platform,
-    pairs: &[CorePair],
-    t_c: f64,
-    t_unit: f64,
-    threads: usize,
-) -> Result<(Vec<CorePair>, Schedule)> {
     let _span = mosc_obs::span("ao.tpt_adjust");
     if !(t_c > 0.0 && t_unit > 0.0 && t_unit < t_c) {
         return Err(AlgoError::InvalidOptions { what: "need 0 < t_unit < t_c" });
     }
     let n = platform.n_cores();
-    let threads = thread_count(threads, n);
     let t_max = platform.t_max();
     let mut pairs_adj = pairs.to_vec();
     let mut schedule = schedule_from_pairs(&pairs_adj, t_c)?;
@@ -220,45 +190,15 @@ pub fn adjust_to_tmax_with_threads(
         }
         let hot_core = peak.core;
         let hot_temp = temp_of_core(platform, &schedule, hot_core)?;
-        // Evaluate each core's t_unit swap (possibly in parallel), then pick
-        // the one cooling `hot_core` the most per unit of throughput lost —
-        // sequentially in core order, so the choice matches a serial loop.
-        let mut trials: Vec<Option<TptTrial>> = (0..n).map(|_| None).collect();
-        if threads > 1 && n > 1 {
-            let collected: Vec<Vec<(usize, TptTrial)>> = std::thread::scope(|scope| {
-                let pairs_ref = &pairs_adj;
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        scope.spawn(move || {
-                            (t..n)
-                                .step_by(threads)
-                                .map(|j| {
-                                    (
-                                        j,
-                                        tpt_trial(
-                                            platform, pairs_ref, j, t_c, t_unit, hot_core, hot_temp,
-                                        ),
-                                    )
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("TPT trial thread panicked")).collect()
-            });
-            for (j, r) in collected.into_iter().flatten() {
-                trials[j] = Some(r);
-            }
-        } else {
-            for (j, slot) in trials.iter_mut().enumerate() {
-                *slot = Some(tpt_trial(platform, &pairs_adj, j, t_c, t_unit, hot_core, hot_temp));
-            }
-        }
+        // Pick the core whose t_unit swap cools `hot_core` the most per
+        // unit of throughput lost; the first core in order wins ties.
         let mut best: Option<(f64, usize, Schedule)> = None;
-        for (j, slot) in trials.into_iter().enumerate() {
-            let Some(result) = slot else { continue };
-            let Some((reduction, trial)) = result? else { continue };
-            let p = &pairs_adj[j];
+        for (j, p) in pairs_adj.iter().enumerate() {
+            let Some((reduction, trial)) =
+                tpt_trial(platform, &pairs_adj, j, t_c, t_unit, hot_core, hot_temp)?
+            else {
+                continue;
+            };
             let tpt = reduction / ((p.v_high - p.v_low) * t_unit);
             if reduction > 0.0 && best.as_ref().is_none_or(|(b, _, _)| tpt > *b) {
                 best = Some((tpt, j, trial));
@@ -341,14 +281,6 @@ fn tpt_trial(
     Ok(Some((reduction, trial)))
 }
 
-/// Resolves a requested worker count (`0` = all available) against the
-/// number of independent work items.
-pub(crate) fn thread_count(requested: usize, work: usize) -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, usize::from);
-    let t = if requested == 0 { hw } else { requested };
-    t.clamp(1, work.max(1))
-}
-
 /// Builds the per-core level pairs from the ideal voltages.
 pub fn build_pairs(platform: &Platform, ideal_voltages: &[f64]) -> Vec<CorePair> {
     let modes = platform.modes();
@@ -428,10 +360,6 @@ pub fn schedule_from_pairs(pairs: &[CorePair], t_c: f64) -> Result<Schedule> {
 /// together with its δ-compensated pairs. When the compensation already
 /// saturates at `m = 1`, no factor can oscillate at all: the result is
 /// `m = 1` with every oscillating core held at its lower level.
-///
-/// Candidates are evaluated in batches across scoped threads; selection
-/// consumes the batch sequentially in ascending-`m` order, so the result is
-/// bit-identical to a single-threaded sweep.
 fn sweep_m(
     platform: &Platform,
     pairs: &[CorePair],
@@ -444,7 +372,6 @@ fn sweep_m(
         return Ok((1, pairs.to_vec()));
     }
     let m_cap = chip_max_m(platform, pairs, opts);
-    let threads = thread_count(opts.threads, m_cap);
     let t_max = platform.t_max();
     // Best feasible candidate: highest net throughput, first (smallest) m on
     // ties. Fallback: lowest stable peak.
@@ -452,85 +379,44 @@ fn sweep_m(
     let mut best_peak: Option<(usize, f64)> = None;
     let mut since_improvement = 0;
     let mut stop: &'static str = "cap";
-    let mut m_next = 1usize;
-    'sweep: while m_next <= m_cap {
-        // Assemble a batch of factors whose δ compensation still fits: the
-        // compensation consuming a core's entire low interval means larger m
-        // is pointless (and δ undefined), so saturation ends the sweep.
-        let mut batch: Vec<(usize, Vec<CorePair>, f64)> = Vec::with_capacity(threads);
-        let mut saturated = false;
-        while batch.len() < threads && m_next <= m_cap {
-            let m = m_next;
-            m_next += 1;
-            let adjusted = adjusted_pairs(pairs, platform, m, opts);
-            if pairs
-                .iter()
-                .zip(&adjusted)
-                .any(|(base, adj)| pairs_oscillating(base) && adj.ratio_high >= 1.0 - 1e-12)
-            {
-                stop = "overhead_saturated";
-                saturated = true;
+    for m in 1..=m_cap {
+        // The compensation consuming a core's entire low interval means
+        // larger m is pointless (and δ undefined), so saturation ends the
+        // sweep.
+        let adjusted = adjusted_pairs(pairs, platform, m, opts);
+        if pairs
+            .iter()
+            .zip(&adjusted)
+            .any(|(base, adj)| pairs_oscillating(base) && adj.ratio_high >= 1.0 - 1e-12)
+        {
+            stop = "overhead_saturated";
+            break;
+        }
+        let schedule = schedule_from_pairs(&adjusted, opts.base_period / m as f64)?;
+        let peak = platform.peak(&schedule)?.temp;
+        M_CANDIDATES.incr();
+        let mut improved = false;
+        if peak <= t_max + ACCEPT_EPS {
+            let net = schedule.throughput_with_overhead(platform.overhead());
+            if best_feasible.is_none_or(|(_, b, _)| net > b + 1e-12) {
+                best_feasible = Some((m, net, peak));
+                improved = true;
+            }
+        }
+        if best_peak.is_none_or(|(_, b)| peak < b - 1e-9) {
+            best_peak = Some((m, peak));
+            // Peak progress only counts while chasing first feasibility;
+            // afterwards only net-throughput gains keep the sweep alive.
+            improved = improved || best_feasible.is_none();
+        }
+        if improved {
+            since_improvement = 0;
+        } else {
+            since_improvement += 1;
+            if since_improvement >= opts.m_patience {
+                stop = "patience";
                 break;
             }
-            batch.push((m, adjusted, opts.base_period / m as f64));
-        }
-        if batch.is_empty() {
-            break;
-        }
-        // Each candidate's exact Theorem-1 peak is independent; fan out.
-        let evals: Vec<Result<(Schedule, f64)>> = if threads > 1 && batch.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = batch
-                    .iter()
-                    .map(|(_, adjusted, t_c)| {
-                        scope.spawn(move || -> Result<(Schedule, f64)> {
-                            let schedule = schedule_from_pairs(adjusted, *t_c)?;
-                            let peak = platform.peak(&schedule)?.temp;
-                            Ok((schedule, peak))
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("m-sweep thread panicked")).collect()
-            })
-        } else {
-            batch
-                .iter()
-                .map(|(_, adjusted, t_c)| {
-                    let schedule = schedule_from_pairs(adjusted, *t_c)?;
-                    let peak = platform.peak(&schedule)?.temp;
-                    Ok((schedule, peak))
-                })
-                .collect()
-        };
-        for ((m, _, _), eval) in batch.iter().zip(evals) {
-            let (schedule, peak) = eval?;
-            M_CANDIDATES.incr();
-            let mut improved = false;
-            if peak <= t_max + ACCEPT_EPS {
-                let net = schedule.throughput_with_overhead(platform.overhead());
-                if best_feasible.is_none_or(|(_, b, _)| net > b + 1e-12) {
-                    best_feasible = Some((*m, net, peak));
-                    improved = true;
-                }
-            }
-            if best_peak.is_none_or(|(_, b)| peak < b - 1e-9) {
-                best_peak = Some((*m, peak));
-                // Peak progress only counts while chasing first feasibility;
-                // afterwards only net-throughput gains keep the sweep alive.
-                improved = improved || best_feasible.is_none();
-            }
-            if improved {
-                since_improvement = 0;
-            } else {
-                since_improvement += 1;
-                if since_improvement >= opts.m_patience {
-                    stop = "patience";
-                    break 'sweep;
-                }
-            }
-        }
-        if saturated {
-            break;
         }
     }
     let (m, peak, selected) = match (best_feasible, best_peak) {
@@ -582,17 +468,7 @@ mod tests {
     use mosc_sched::PlatformSpec;
 
     fn quick_opts() -> AoOptions {
-        AoOptions { base_period: 0.05, max_m: 64, m_patience: 4, t_unit_divisor: 50, threads: 0 }
-    }
-
-    #[test]
-    fn ao_single_thread_matches_parallel() {
-        let p = Platform::build(&PlatformSpec::paper(2, 3, 2, 55.0)).unwrap();
-        let seq = solve_with(&p, &AoOptions { threads: 1, ..quick_opts() }).unwrap();
-        let par = solve_with(&p, &AoOptions { threads: 8, ..quick_opts() }).unwrap();
-        assert_eq!(seq.m, par.m);
-        assert!((seq.throughput - par.throughput).abs() == 0.0, "thread count changed the result");
-        assert!((seq.peak - par.peak).abs() == 0.0);
+        AoOptions { base_period: 0.05, max_m: 64, m_patience: 4, t_unit_divisor: 50 }
     }
 
     #[test]

@@ -8,10 +8,8 @@
 //! spatially; it then refills the freed thermal headroom by growing
 //! high-voltage ratios. Shifted schedules are no longer step-up, so every
 //! evaluation uses the sampled-peak path — which is exactly why PCO's
-//! computation time exceeds AO's in Table V. The candidate offsets of one
-//! core are independent evaluations, so the phase search fans them out
-//! across scoped threads (`AoOptions::threads`) and selects sequentially in
-//! offset order — bit-identical to a single-threaded search.
+//! computation time exceeds AO's in Table V. The phase search tries one
+//! core's candidate offsets in order on the calling thread.
 
 use crate::ao::{self, AoOptions};
 use crate::{Result, Solution, ACCEPT_EPS, FEASIBILITY_EPS};
@@ -68,54 +66,20 @@ pub fn solve_with(platform: &Platform, opts: &PcoOptions) -> Result<Solution> {
     };
 
     // Phase search: greedily shift each core to the offset minimizing the
-    // sampled peak. A core's candidate offsets are evaluated concurrently;
-    // the winning offset is still chosen sequentially in offset order, so
-    // any thread count returns the same schedule.
+    // sampled peak; the first offset in order wins ties.
     let phase_span = mosc_obs::span("pco.phase_search");
-    let threads = ao::thread_count(opts.ao.threads, opts.phase_steps.saturating_sub(1));
     let mut peak = sampled_peak(&schedule)?;
     let mut shifted_cores = 0usize;
     for core in 0..platform.n_cores() {
         if schedule.core(core).segments().len() < 2 {
             continue; // constant cores have no phase
         }
-        let offsets: Vec<f64> =
-            (1..opts.phase_steps).map(|k| t_c * k as f64 / opts.phase_steps as f64).collect();
-        let mut evals: Vec<Option<Result<f64>>> = (0..offsets.len()).map(|_| None).collect();
-        let workers = threads.min(offsets.len());
-        if workers > 1 {
-            let collected: Vec<Vec<(usize, Result<f64>)>> = std::thread::scope(|scope| {
-                let schedule_ref = &schedule;
-                let sp = &sampled_peak;
-                let offs = &offsets;
-                let handles: Vec<_> = (0..workers)
-                    .map(|t| {
-                        scope.spawn(move || {
-                            (t..offs.len())
-                                .step_by(workers)
-                                .map(|i| (i, sp(&schedule_ref.with_shifted_core(core, offs[i]))))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("phase-search thread panicked"))
-                    .collect()
-            });
-            for (i, r) in collected.into_iter().flatten() {
-                evals[i] = Some(r);
-            }
-        } else {
-            for (i, &offset) in offsets.iter().enumerate() {
-                evals[i] = Some(sampled_peak(&schedule.with_shifted_core(core, offset)));
-            }
-        }
         let mut best_offset = 0.0;
         let mut best_peak = peak;
-        for (&offset, slot) in offsets.iter().zip(evals) {
+        for k in 1..opts.phase_steps {
+            let offset = t_c * k as f64 / opts.phase_steps as f64;
             PHASES_TRIED.incr();
-            let p = slot.expect("every offset evaluated")?;
+            let p = sampled_peak(&schedule.with_shifted_core(core, offset))?;
             if p < best_peak - 1e-12 {
                 best_peak = p;
                 best_offset = offset;
@@ -275,31 +239,11 @@ mod tests {
 
     fn quick_opts() -> PcoOptions {
         PcoOptions {
-            ao: AoOptions {
-                base_period: 0.05,
-                max_m: 32,
-                m_patience: 3,
-                t_unit_divisor: 40,
-                threads: 0,
-            },
+            ao: AoOptions { base_period: 0.05, max_m: 32, m_patience: 3, t_unit_divisor: 40 },
             phase_steps: 4,
             samples: 150,
             refill_divisor: 40,
         }
-    }
-
-    #[test]
-    fn pco_single_thread_matches_parallel() {
-        let p = Platform::build(&PlatformSpec::paper(1, 3, 2, 55.0)).unwrap();
-        let mut seq_opts = quick_opts();
-        seq_opts.ao.threads = 1;
-        let mut par_opts = quick_opts();
-        par_opts.ao.threads = 8;
-        let seq = solve_with(&p, &seq_opts).unwrap();
-        let par = solve_with(&p, &par_opts).unwrap();
-        assert_eq!(seq.m, par.m);
-        assert!((seq.throughput - par.throughput).abs() == 0.0, "thread count changed the result");
-        assert!((seq.peak - par.peak).abs() == 0.0);
     }
 
     #[test]

@@ -228,7 +228,6 @@ mod tests {
                 max_m: 32,
                 m_patience: 3,
                 t_unit_divisor: 40,
-                threads: 0,
             },
         )
         .unwrap();

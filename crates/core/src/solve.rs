@@ -121,9 +121,11 @@ impl std::str::FromStr for SolverKind {
 /// be hashed canonically for caching and carried verbatim over the wire.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveOptions {
-    /// Worker threads for the parallel solvers (EXS partition search, the AO
-    /// m-sweep/TPT loop, the PCO phase search). `0` = all available. Any
-    /// value produces bit-identical results; LNS and the governor ignore it.
+    /// Worker threads for the EXS partition search and for the variants of
+    /// a [`solve_batch`] call. `0` = all available. Any value produces
+    /// bit-identical results, and the value is part of a service's cache
+    /// key. AO, PCO, LNS and the governor ignore it: they solve on the
+    /// calling thread.
     pub threads: usize,
     /// Hard cap on the oscillation factor (AO/PCO only).
     pub max_m: usize,
@@ -184,7 +186,6 @@ impl SolveOptions {
             max_m: self.max_m,
             m_patience: self.m_patience,
             t_unit_divisor: self.t_unit_divisor,
-            threads: self.threads,
         }
     }
 
@@ -235,11 +236,11 @@ impl From<BnbStats> for SolverStats {
 /// (`expm.calls`, `period_map.matmuls`, …); this struct is the *difference*
 /// of those process-global counters read immediately before and after the
 /// dispatch, so a serving layer can attribute kernel work to the request
-/// that triggered it. The deltas are global by design — solvers fan work
-/// out to scoped threads, and a thread-local capture would miss those — so
-/// under concurrent solves a delta may include a neighbour's increments;
-/// treat it as attribution, not accounting. All zero while the `mosc-obs`
-/// recorder is disabled.
+/// that triggered it. The deltas are global by design — EXS fans its
+/// partitions out to scoped threads, and a thread-local capture would miss
+/// those — so under concurrent solves a delta may include a neighbour's
+/// increments; treat it as attribution, not accounting. All zero while the
+/// `mosc-obs` recorder is disabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelDelta {
     /// Matrix-exponential evaluations (`expm.calls`).

@@ -75,7 +75,6 @@ fn dispatcher_matches_ao_and_pco_under_equivalent_options() {
         max_m: opts.max_m,
         m_patience: opts.m_patience,
         t_unit_divisor: opts.t_unit_divisor,
-        threads: opts.threads,
     };
     let new = solve(SolverKind::Ao, &p, &opts).unwrap();
     let old = ao::solve_with(&p, &ao_opts).unwrap();

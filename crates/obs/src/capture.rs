@@ -14,13 +14,14 @@
 //!
 //! Captures nest: `observe` saves and restores any previously installed
 //! slot, so an observed region inside an observed region attributes to the
-//! inner capture only. The capture is **thread-local by design** — work a
-//! solver fans out to its own scoped threads merges into the global
-//! aggregate but not into the capture (those threads have no capture
-//! slot); the root `*.solve` span always runs on the observed thread, so
-//! request attribution keeps the full call-path skeleton. Kernel-counter
-//! attribution needs the fan-out too, so it is not captured here: callers
-//! diff the global counters instead (`mosc_core::KernelDelta`).
+//! inner capture only. The capture is **thread-local by design** — work
+//! spawned onto other scoped threads (EXS's partitions) merges into the
+//! global aggregate but not into the capture (those threads have no
+//! capture slot); the root `*.solve` span always runs on the observed
+//! thread, so request attribution keeps the full call-path skeleton.
+//! Kernel-counter attribution must see those threads too, so it is not
+//! captured here: callers diff the global counters instead
+//! (`mosc_core::KernelDelta`).
 //!
 //! While the recorder is disabled, [`SpanCapture::observe`] runs the
 //! closure directly — no thread-local writes, no locks — and snapshots are

@@ -6,12 +6,17 @@
 //!
 //! Each accepted socket becomes a [`Conn`] that moves bytes through four
 //! stages: **read** (fill `rbuf` until `WouldBlock`), **reassemble**
-//! (split `rbuf` on `\n`;
+//! (after every read, split `rbuf` on `\n`, scanning only the new bytes;
 //! a trailing fragment is dispatched at EOF, `BufRead::read_line`'s
 //! behavior), **dispatch** (each non-empty line goes through
 //! [`handle_line`]), and **write** (framed response lines are appended to
 //! `wbuf` and flushed while the socket accepts them, with write interest
 //! registered only while a backlog exists).
+//!
+//! A line may be at most [`MAX_LINE_BYTES`] long. An unterminated fragment
+//! past that is answered once with a `parse` error and the connection
+//! stops reading and closes once the answer is flushed, so one client
+//! cannot grow `rbuf` without bound.
 //!
 //! Answers reach `wbuf` two ways. Those the I/O thread makes itself —
 //! parse errors, protocol ops, cache hits, `overloaded` — come back from
@@ -52,7 +57,8 @@
 //! has its response delivered.
 
 use crate::poller::{Interest, PollEvent, Poller, Token};
-use crate::server::{handle_line, Reply, Shared};
+use crate::proto::{proto_err, MAX_LINE_BYTES};
+use crate::server::{handle_line, malformed, Reply, Shared};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -120,6 +126,8 @@ struct Conn {
     /// Unconsumed request bytes (at most one partial line after
     /// reassembly).
     rbuf: Vec<u8>,
+    /// Prefix of `rbuf` already scanned and known to hold no `\n`.
+    scanned: usize,
     /// Framed response bytes not yet accepted by the socket; `wpos` marks
     /// how far the kernel has taken them.
     wbuf: Vec<u8>,
@@ -131,8 +139,9 @@ struct Conn {
     dispatched: u64,
     responded: u64,
     last_activity: Instant,
-    /// Client closed its write half; trailing partial line already
-    /// dispatched.
+    /// No more request bytes will be read: the client closed its write
+    /// half (trailing partial line already dispatched) or sent an
+    /// over-long line.
     eof: bool,
     /// Fatal socket error or invalid UTF-8: retire without waiting.
     dead: bool,
@@ -305,6 +314,7 @@ fn accept_ready(
             Conn {
                 stream,
                 rbuf: Vec::new(),
+                scanned: 0,
                 wbuf: Vec::new(),
                 wpos: 0,
                 seq: 0,
@@ -319,8 +329,8 @@ fn accept_ready(
     }
 }
 
-/// Reads until `WouldBlock`/EOF, reassembles lines, dispatches each
-/// non-empty one through [`handle_line`].
+/// Reads until `WouldBlock`/EOF, reassembling and dispatching lines after
+/// every read.
 fn read_ready(
     c: &mut Conn,
     id: u64,
@@ -338,9 +348,13 @@ fn read_ready(
             Ok(n) => {
                 c.last_activity = now;
                 c.rbuf.extend_from_slice(&scratch[..n]);
+                dispatch_lines(c, id, shared, outbox);
+                if c.dead || c.eof {
+                    return;
+                }
                 if c.backlog() >= WBUF_MAX {
                     // Stop pulling more until the client reads its
-                    // responses; what is buffered still dispatches.
+                    // responses.
                     break;
                 }
             }
@@ -352,13 +366,6 @@ fn read_ready(
             }
         }
     }
-    while let Some(pos) = c.rbuf.iter().position(|&b| b == b'\n') {
-        let line: Vec<u8> = c.rbuf.drain(..=pos).collect();
-        dispatch(c, id, shared, outbox, &line);
-        if c.dead {
-            return;
-        }
-    }
     if c.eof && !c.rbuf.is_empty() {
         // `read_line` hands out an unterminated trailing line at EOF; the
         // reassembly path matches it so a client that sends a final
@@ -366,6 +373,36 @@ fn read_ready(
         let line = std::mem::take(&mut c.rbuf);
         dispatch(c, id, shared, outbox, &line);
     }
+}
+
+/// Dispatches every complete line in `rbuf`, scanning only the bytes no
+/// earlier call has seen, then refuses a remaining fragment longer than
+/// [`MAX_LINE_BYTES`].
+fn dispatch_lines(c: &mut Conn, id: u64, shared: &Shared, outbox: &Arc<Outbox>) {
+    let mut buf = std::mem::take(&mut c.rbuf);
+    let mut start = 0;
+    let mut scan = c.scanned;
+    while let Some(off) = buf[scan..].iter().position(|&b| b == b'\n') {
+        scan += off + 1;
+        dispatch(c, id, shared, outbox, &buf[start..scan]);
+        if c.dead {
+            return;
+        }
+        start = scan;
+    }
+    if buf.len() - start > MAX_LINE_BYTES {
+        let e = proto_err("", format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+        c.dispatched += 1;
+        c.responded += 1;
+        c.wbuf.extend_from_slice(malformed(shared, &e, Instant::now(), id, c.seq).as_bytes());
+        c.seq += 1;
+        c.scanned = 0;
+        c.eof = true;
+        return;
+    }
+    buf.drain(..start);
+    c.scanned = buf.len();
+    c.rbuf = buf;
 }
 
 /// Dispatches one reassembled line and appends the answer when the I/O

@@ -423,7 +423,11 @@ pub struct BatchVariantRequest {
 /// work a single dispatch can pin on the worker pool.
 pub const MAX_BATCH_VARIANTS: usize = 256;
 
-fn proto_err(id: &str, message: impl Into<String>) -> ProtoError {
+/// The longest request line the daemon buffers, excluding its `\n`. A
+/// longer line is answered with a `parse` error and its connection closed.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+pub(crate) fn proto_err(id: &str, message: impl Into<String>) -> ProtoError {
     ProtoError { message: message.into(), id: id.to_owned(), kind: ErrorKind::Parse }
 }
 

@@ -1005,7 +1005,7 @@ fn process_job(
     let opts = SolveOptions { deadline: remaining, ..req.options };
     // The solver's root span tree recorded on this thread lands in the
     // snapshot attached to the access-log line; kernel counters travel as
-    // the report's `KernelDelta`, which also sees AO's fan-out threads.
+    // the report's `KernelDelta`, which also sees EXS's partition threads.
     let capture = SpanCapture::new();
     let result = capture.observe(|| mosc_core::solve(req.kind, &platform, &opts));
     match result {
@@ -1280,6 +1280,20 @@ fn id_hash(id: &str) -> u64 {
     fnv1a(id.as_bytes()) & 0xFFFF_FFFF
 }
 
+/// The answer to a line that is not a request: counted as malformed and
+/// logged as a `parse` protocol op.
+pub(crate) fn malformed(
+    shared: &Shared,
+    e: &ProtoError,
+    t_recv: Instant,
+    conn: u64,
+    seq: u64,
+) -> Reply {
+    shared.metrics.on_malformed();
+    let line = error_to_json(&e.id, e.kind.id(), &e.message);
+    finish(shared, &line, &Completion::proto(&e.id, "parse", "error", t_recv, conn, seq))
+}
+
 /// Dispatches the `seq`-th request line of connection `conn`, received at
 /// `t_recv`, on the I/O thread. Returns how many sequence numbers the line
 /// consumed (one per logged completion: 1 for everything except
@@ -1302,10 +1316,7 @@ pub(crate) fn handle_line(
     };
     let request = match parse_request(line) {
         Ok(r) => r,
-        Err(ProtoError { message, id, kind }) => {
-            shared.metrics.on_malformed();
-            return (1, proto(&id, "parse", "error", &error_to_json(&id, kind.id(), &message)));
-        }
+        Err(e) => return (1, Some(malformed(shared, &e, t_recv, conn, seq))),
     };
     match request {
         Request::Ping { id } => {

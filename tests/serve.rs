@@ -10,10 +10,12 @@
 //! * A worker panic still answers its request and lets the daemon drain.
 //! * An AO request whose overhead compensation saturates at m = 1 is
 //!   answered with a feasible schedule, not an internal error.
+//! * Over-long request lines and oversized platforms are refused with a
+//!   typed error, and the daemon keeps serving.
 #![cfg(unix)]
 
 use mosc::analyze::json::Value;
-use mosc::serve::proto::value_to_json;
+use mosc::serve::proto::{value_to_json, MAX_LINE_BYTES};
 use mosc::serve::Server;
 use mosc_testutil::Rng64;
 use std::io::{BufRead, BufReader, Write};
@@ -282,6 +284,73 @@ fn overhead_saturated_ao_is_answered_feasible() {
         let peak = answer.get("peak_c").and_then(Value::as_f64).expect("peak_c");
         assert!(peak <= t_max_c + mosc::algorithms::ACCEPT_EPS, "{line}");
     }
+    handle.shutdown();
+    join.join().expect("server thread");
+}
+
+/// A request line longer than the daemon buffers is answered once with a
+/// `parse` error, then the connection closes; the daemon keeps serving.
+#[test]
+fn an_over_long_line_is_refused_and_its_connection_closed() {
+    let server = Server::builder().addr("127.0.0.1:0").workers(1).bind().expect("bind 127.0.0.1:0");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run().expect("serve loop"));
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    stream.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).expect("send");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read refusal");
+    let answer = Value::parse(&line).expect("answer parses");
+    assert_eq!(answer.get("status").and_then(Value::as_str), Some("error"), "{line}");
+    assert_eq!(answer.get("kind").and_then(Value::as_str), Some("parse"), "{line}");
+    line.clear();
+    reader.read_line(&mut line).expect("read EOF");
+    assert_eq!(line, "", "nothing follows the refusal but EOF");
+
+    let mut fresh = TcpStream::connect(addr).expect("reconnect");
+    fresh.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    writeln!(fresh, r#"{{"id":"p","op":"ping"}}"#).expect("send ping");
+    line.clear();
+    BufReader::new(fresh).read_line(&mut line).expect("read pong");
+    let pong = Value::parse(&line).expect("pong parses");
+    assert_eq!(pong.get("id").and_then(Value::as_str), Some("p"), "{line}");
+    assert_eq!(pong.get("status").and_then(Value::as_str), Some("ok"), "{line}");
+    handle.shutdown();
+    join.join().expect("server thread");
+}
+
+/// A platform past the core-count cap is refused as `usage` before its
+/// eigendecomposition, and the daemon keeps serving.
+#[test]
+fn an_oversized_platform_is_refused_as_usage() {
+    let server = Server::builder().addr("127.0.0.1:0").workers(1).bind().expect("bind 127.0.0.1:0");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run().expect("serve loop"));
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut recv = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read response");
+        Value::parse(&line).expect("answer parses")
+    };
+    let platform = r#"{"rows":100,"cols":100,"levels":[0.6,1.3],"t_max_c":55.0}"#;
+    writeln!(stream, r#"{{"id":"big","solver":"ao","platform":{platform}}}"#).expect("send");
+    let answer = recv();
+    assert_eq!(answer.get("id").and_then(Value::as_str), Some("big"), "{answer:?}");
+    assert_eq!(answer.get("kind").and_then(Value::as_str), Some("usage"), "{answer:?}");
+    assert!(
+        answer.get("message").and_then(Value::as_str).is_some_and(|m| m.contains("M010")),
+        "{answer:?}"
+    );
+    writeln!(stream, r#"{{"id":"p","op":"ping"}}"#).expect("send ping");
+    let pong = recv();
+    assert_eq!(pong.get("status").and_then(Value::as_str), Some("ok"), "{pong:?}");
     handle.shutdown();
     join.join().expect("server thread");
 }
