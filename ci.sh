@@ -52,6 +52,18 @@ test "$fast_256" -le $((fast_1 * 4)) \
 test $((dense_64 + expm_dense_64)) -ge $(((fast_64 + expm_fast_64) * 5)) \
     || { echo "period_map kernel not >=5x cheaper at m=64: fast $fast_64+$expm_fast_64 vs dense $dense_64+$expm_dense_64" >&2; exit 1; }
 
+echo "==> AO TPT ranking smoke (one steady-state call per exact peak evaluation)"
+ao_obs=$(cargo run -q --bin mosc-cli -- solve --algo ao --rows 3 --cols 3 --levels 4 --tmax 67.5 --obs=json)
+ao_counter() { # ao_counter <name>
+    echo "$ao_obs" | sed -n "s/.*\"type\":\"counter\",\"name\":\"$1\",\"value\":\([0-9]*\).*/\1/p"
+}
+ss_calls=$(ao_counter steady_state.calls); pe_calls=$(ao_counter peak_eval.calls)
+test -n "$ss_calls" && test -n "$pe_calls" \
+    || { echo "AO --obs=json missing kernel counters" >&2; exit 1; }
+# The TPT pass ranks its trials by superposition: no trial is evaluated.
+test "$ss_calls" -eq "$pe_calls" \
+    || { echo "AO TPT evaluated trials: steady_state.calls $ss_calls vs peak_eval.calls $pe_calls" >&2; exit 1; }
+
 echo "==> period-map bench artifact (BENCH_periodmap.json)"
 cargo run -q --release -p mosc-bench --bin periodmap -- --csv target/bench >/dev/null
 # Record presence here; structure (schema-v2 meta, quantile ordering, rate

@@ -25,10 +25,19 @@
 //!    convert one `t_unit` of high-voltage time to low on the core with the
 //!    best temperature-per-throughput tradeoff index
 //!    `TPT_j = ΔT_i / ((v_{j,H} − v_{j,L})·t_unit)`, where `i` is the
-//!    hottest core.
+//!    hottest core. Each round makes one exact peak evaluation, which gives
+//!    both the feasibility test and `i`; the `n` values `ΔT_i` come from
+//!    per-core modal superposition ([`StepUpResponse`]): the stable
+//!    period-end temperature of a step-up schedule is a sum of one
+//!    closed-form term per core, so moving only core `j`'s switch changes
+//!    `T_i` by an `O(N)` dot product over the modes. Superposition only
+//!    ranks the trials — the feasibility test of every round, the overshoot
+//!    bisection and the returned schedule's peak stay on the exact path.
 
 use crate::{continuous, AlgoError, Result, Solution, ACCEPT_EPS, FEASIBILITY_EPS};
-use mosc_sched::{Platform, Schedule};
+use mosc_linalg::Vector;
+use mosc_power::PowerLike;
+use mosc_sched::{Platform, Schedule, StepUpResponse};
 
 /// Oscillation factors evaluated by the m sweep across all AO runs.
 static M_CANDIDATES: mosc_obs::Counter = mosc_obs::Counter::new("ao.m_candidates");
@@ -153,6 +162,21 @@ pub fn solve_with(platform: &Platform, opts: &AoOptions) -> Result<Solution> {
 /// the best temperature-performance tradeoff index until the stable peak
 /// respects `T_max`. Returns the final pairs and schedule.
 ///
+/// Each round makes exactly one exact [`Platform::peak`], which is both the
+/// feasibility test and the source of the hot core `i`. The `n` trials are
+/// then ranked by per-core modal superposition ([`StepUpResponse`]): core
+/// `j`'s swap changes the modal stable state by a closed-form vector, kept
+/// across rounds and refreshed only when `j`'s ratio moves, and cools core
+/// `i` by that vector's `O(N)` dot product with row `i` of `from_modal`. A
+/// round costs `O(n·N)` on top of the one exact evaluation, and only the
+/// accepted trial's schedule is built. The trial ranking is the only place the
+/// closed form enters: the feasibility test of every round, the overshoot
+/// bisection and the returned schedule's peak all stay on the exact path.
+///
+/// **Tie rule** ([`rank_tpt`]): indices within [`TPT_TIE_RTOL`] (relative)
+/// of the best one count as equal, and the lowest core index among them
+/// wins — symmetric platforms have exact ties between mirrored cores.
+///
 /// Exposed publicly because the Section-III motivation experiment exercises
 /// it at fixed periods (Table III's 20/10/5 ms rows) without the m sweep.
 ///
@@ -171,8 +195,23 @@ pub fn adjust_to_tmax(
     }
     let n = platform.n_cores();
     let t_max = platform.t_max();
+    let power = platform.power();
+    let response = StepUpResponse::new(platform.thermal(), t_c)?;
+    // Modal effect of core j's next t_unit swap, or `None` when it has no
+    // high time left to trade.
+    let next_swap = |j: usize, p: &CorePair| -> Option<Vector> {
+        let new_ratio = p.ratio_high - t_unit / t_c;
+        if !p.adjustable() || new_ratio < -1e-12 {
+            return None;
+        }
+        let (psi_low, psi_high) = (power.psi_core(j, p.v_low), power.psi_core(j, p.v_high));
+        Some(response.ratio_shift(j, psi_low, psi_high, p.ratio_high, new_ratio))
+    };
     let mut pairs_adj = pairs.to_vec();
     let mut schedule = schedule_from_pairs(&pairs_adj, t_c)?;
+    // Filled on the first hot round; a core's entry changes only with its
+    // ratio.
+    let mut swaps: Vec<Option<Vector>> = Vec::new();
     let max_iters = 4 * n * (t_c / t_unit).ceil() as usize;
     let mut iters = 0;
     let mut last_reduced: Option<usize> = None;
@@ -188,26 +227,23 @@ pub fn adjust_to_tmax(
                 what: "TPT adjustment failed to converge (t_unit too coarse?)",
             });
         }
-        let hot_core = peak.core;
-        let hot_temp = temp_of_core(platform, &schedule, hot_core)?;
-        // Pick the core whose t_unit swap cools `hot_core` the most per
-        // unit of throughput lost; the first core in order wins ties.
-        let mut best: Option<(f64, usize, Schedule)> = None;
-        for (j, p) in pairs_adj.iter().enumerate() {
-            let Some((reduction, trial)) =
-                tpt_trial(platform, &pairs_adj, j, t_c, t_unit, hot_core, hot_temp)?
-            else {
-                continue;
-            };
-            let tpt = reduction / ((p.v_high - p.v_low) * t_unit);
-            if reduction > 0.0 && best.as_ref().is_none_or(|(b, _, _)| tpt > *b) {
-                best = Some((tpt, j, trial));
-            }
+        if swaps.is_empty() {
+            swaps = pairs_adj.iter().enumerate().map(|(j, p)| next_swap(j, p)).collect();
         }
-        match best {
-            Some((_, j, trial)) => {
+        // TPT_j: how much core j's swap cools the hot core per unit of
+        // throughput lost.
+        let tpt: Vec<Option<f64>> = swaps
+            .iter()
+            .zip(&pairs_adj)
+            .map(|(swap, p)| {
+                let reduction = -response.core_temp(peak.core, swap.as_ref()?);
+                (reduction > 0.0).then(|| reduction / ((p.v_high - p.v_low) * t_unit))
+            })
+            .collect();
+        match rank_tpt(&tpt) {
+            Some(j) => {
                 pairs_adj[j].ratio_high = (pairs_adj[j].ratio_high - t_unit / t_c).max(0.0);
-                schedule = trial;
+                swaps[j] = next_swap(j, &pairs_adj[j]);
                 last_reduced = Some(j);
             }
             None => {
@@ -225,10 +261,11 @@ pub fn adjust_to_tmax(
                     let lowest_peak = platform.steady_peak(&vec![platform.modes().lowest(); n])?;
                     return Err(AlgoError::Infeasible { lowest_peak, t_max });
                 }
-                schedule = schedule_from_pairs(&pairs_adj, t_c)?;
+                swaps.clear();
                 last_reduced = None;
             }
         }
+        schedule = schedule_from_pairs(&pairs_adj, t_c)?;
     }
 
     // The last discrete step typically overshoots by up to one t_unit of
@@ -254,31 +291,21 @@ pub fn adjust_to_tmax(
     Ok((pairs_adj, schedule))
 }
 
-/// One TPT candidate: core `j` trades `t_unit` of high time for low. Returns
-/// `None` when the core has nothing left to trade, otherwise the temperature
-/// reduction it buys on `hot_core` and the trial schedule.
-fn tpt_trial(
-    platform: &Platform,
-    pairs_adj: &[CorePair],
-    j: usize,
-    t_c: f64,
-    t_unit: f64,
-    hot_core: usize,
-    hot_temp: f64,
-) -> Result<Option<(f64, Schedule)>> {
-    let p = &pairs_adj[j];
-    if !p.adjustable() {
-        return Ok(None);
-    }
-    let new_ratio = p.ratio_high - t_unit / t_c;
-    if new_ratio < -1e-12 {
-        return Ok(None);
-    }
-    let mut trial_pairs = pairs_adj.to_vec();
-    trial_pairs[j].ratio_high = new_ratio.max(0.0);
-    let trial = schedule_from_pairs(&trial_pairs, t_c)?;
-    let reduction = hot_temp - temp_of_core(platform, &trial, hot_core)?;
-    Ok(Some((reduction, trial)))
+/// Relative tolerance under which two TPT indices count as tied (see
+/// [`rank_tpt`]). Mirrored cores of a symmetric platform tie exactly; the
+/// closed form reproduces such ties to about ten ulps (`~2e-15`), a full
+/// evaluation of each trial to about `1e-13`. `1e-12` absorbs both and is
+/// still orders of magnitude below any genuine gap between TPT indices.
+pub const TPT_TIE_RTOL: f64 = 1e-12;
+
+/// The TPT pass's rank step: the index of the best candidate in `tpt`
+/// (`None` entries cannot trade), or `None` when no core can. Candidates
+/// within [`TPT_TIE_RTOL`] (relative) of the largest index are tied, and
+/// the lowest core index among them wins.
+#[must_use]
+pub fn rank_tpt(tpt: &[Option<f64>]) -> Option<usize> {
+    let best = tpt.iter().flatten().copied().fold(f64::NEG_INFINITY, f64::max);
+    tpt.iter().position(|t| t.is_some_and(|t| t >= best - TPT_TIE_RTOL * best.abs()))
 }
 
 /// Builds the per-core level pairs from the ideal voltages.
@@ -360,7 +387,10 @@ pub fn schedule_from_pairs(pairs: &[CorePair], t_c: f64) -> Result<Schedule> {
 /// together with its δ-compensated pairs. When the compensation already
 /// saturates at `m = 1`, no factor can oscillate at all: the result is
 /// `m = 1` with every oscillating core held at its lower level.
-fn sweep_m(
+///
+/// # Errors
+/// Propagated evaluation failures.
+pub fn sweep_m(
     platform: &Platform,
     pairs: &[CorePair],
     opts: &AoOptions,
@@ -452,14 +482,6 @@ fn sweep_m(
 
 fn pairs_oscillating(p: &CorePair) -> bool {
     p.ratio_high > 1e-12 && p.ratio_high < 1.0 - 1e-12
-}
-
-/// Stable-status period-end temperature of one core under a step-up
-/// schedule (Theorem 1 makes this the core's binding value).
-fn temp_of_core(platform: &Platform, schedule: &Schedule, core: usize) -> Result<f64> {
-    let ss =
-        mosc_sched::eval::SteadyState::compute(platform.thermal(), platform.power(), schedule)?;
-    Ok(ss.t_start()[core])
 }
 
 #[cfg(test)]
@@ -612,6 +634,25 @@ mod tests {
             pinned.throughput
         );
         assert!(free.m >= 1);
+    }
+
+    #[test]
+    fn rank_tpt_ties_pick_the_lowest_index() {
+        let t = 3.748_042_646_241_73e3;
+        // Mirrored cores agree to a few ulps: tied, the lowest index wins.
+        let nudged = t * (1.0 + 8.0 * f64::EPSILON);
+        assert_eq!(rank_tpt(&[None, Some(nudged), Some(t), Some(nudged)]), Some(1));
+        assert_eq!(rank_tpt(&[Some(t), Some(nudged)]), Some(0));
+        assert_eq!(rank_tpt(&[Some(nudged), Some(t)]), Some(0));
+    }
+
+    #[test]
+    fn rank_tpt_picks_a_strictly_better_core() {
+        let t = 3.748_042_646_241_73e3;
+        assert_eq!(rank_tpt(&[Some(t), Some(t * (1.0 + 1e-9)), Some(t)]), Some(1));
+        assert_eq!(rank_tpt(&[Some(0.5 * t), None, Some(t)]), Some(2));
+        assert_eq!(rank_tpt(&[None, None]), None);
+        assert_eq!(rank_tpt(&[]), None);
     }
 
     #[test]

@@ -56,6 +56,15 @@ pub fn solve_with(platform: &Platform, opts: &PcoOptions) -> Result<Solution> {
     let _span = mosc_obs::span("pco.solve");
     debug_assert!(crate::checks::platform_ok(platform), "PCO input platform fails static analysis");
     let ao_sol = ao::solve_with(platform, &opts.ao)?;
+    refine(platform, &ao_sol, opts)
+}
+
+/// PCO's stages after AO: phase search, headroom refill and the sampled
+/// safety valve, starting from the AO answer `ao_sol` on `platform`.
+///
+/// # Errors
+/// Propagates evaluation failures.
+pub fn refine(platform: &Platform, ao_sol: &Solution, opts: &PcoOptions) -> Result<Solution> {
     let t_max = platform.t_max();
     let mut schedule = ao_sol.schedule.clone();
     let t_c = schedule.period();

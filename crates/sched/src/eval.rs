@@ -29,8 +29,9 @@ use mosc_power::PowerLike;
 use mosc_thermal::{ThermalModel, Trace};
 use std::sync::Arc;
 
-/// Periodic steady-state computations ([`SteadyState::compute`]): one full
-/// propagator composition plus an `(I − K)` solve each.
+/// Periodic fixed points computed ([`SteadyState::compute`] and the exact
+/// step-up branch of [`peak_temperature`]): one period-map composition plus
+/// its elementwise fixed point each.
 static STEADY_STATE_CALLS: mosc_obs::Counter = mosc_obs::Counter::new("steady_state.calls");
 /// Peak-temperature evaluations ([`peak_temperature`]) — the unit of work
 /// every solver's inner loop is measured in.
@@ -92,9 +93,7 @@ impl SteadyState {
         power: &P,
         schedule: &Schedule,
     ) -> Result<Self> {
-        STEADY_STATE_CALLS.incr();
-        let pm = PeriodMap::build(model, power, schedule)?;
-        let y0 = pm.steady_start()?;
+        let (pm, y0) = stable_start_modal(model, power, schedule)?;
         let t_start = period_map::from_modal(model, &y0)?;
 
         let mut intervals = Vec::with_capacity(pm.intervals().len());
@@ -309,6 +308,20 @@ impl SteadyState {
     }
 }
 
+/// The modal stable state at the period start, with the period map it came
+/// from — the shared first half of [`SteadyState::compute`] and the exact
+/// step-up peak, counted once on `steady_state.calls`.
+fn stable_start_modal<P: PowerLike + ?Sized>(
+    model: &ThermalModel,
+    power: &P,
+    schedule: &Schedule,
+) -> Result<(PeriodMap, Vector)> {
+    STEADY_STATE_CALLS.incr();
+    let pm = PeriodMap::build(model, power, schedule)?;
+    let y0 = pm.steady_start()?;
+    Ok((pm, y0))
+}
+
 /// Where and how hot the peak is.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeakReport {
@@ -339,13 +352,15 @@ pub fn peak_temperature<P: PowerLike + ?Sized>(
     samples: Option<usize>,
 ) -> Result<PeakReport> {
     PEAK_EVAL_CALLS.incr();
-    let ss = SteadyState::compute(model, power, schedule)?;
     // Theorem 1 applies per repeating block: the stable trace is
     // block-periodic, so a step-up *block* peaks at the block boundary even
-    // when the repeated full-period schedule is not globally step-up.
+    // when the repeated full-period schedule is not globally step-up. Only
+    // the period-start vector is read, so the interval-end basis changes of
+    // a full `SteadyState` are skipped: one `from_modal` per evaluation.
     if schedule.block_is_step_up() {
         PEAK_EVAL_EXACT.incr();
-        let t = ss.t_start();
+        let (_, y0) = stable_start_modal(model, power, schedule)?;
+        let t = period_map::from_modal(model, &y0)?;
         let mut best = PeakReport { temp: f64::NEG_INFINITY, core: 0, time: 0.0, exact: true };
         for c in 0..model.n_cores() {
             if t[c] > best.temp {
@@ -356,6 +371,7 @@ pub fn peak_temperature<P: PowerLike + ?Sized>(
     } else {
         // Sample, then polish the winning sample with a golden-section local
         // search — one extra core's trajectory, so nearly free.
+        let ss = SteadyState::compute(model, power, schedule)?;
         let samples = samples.unwrap_or(DEFAULT_SAMPLES_PER_PERIOD);
         let tol = schedule.block_period() / samples as f64 * 1e-3;
         ss.peak_refined(model, samples, tol)

@@ -30,7 +30,7 @@ pub mod sprint;
 pub mod text;
 
 pub use eval::{PeakReport, SteadyState};
-pub use period_map::{ModalMap, PeriodMap};
+pub use period_map::{ModalMap, PeriodMap, StepUpResponse};
 pub use platform::{Platform, PlatformSpec};
 pub use schedule::{CoreSchedule, Schedule, Segment};
 

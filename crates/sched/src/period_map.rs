@@ -165,6 +165,116 @@ impl ModalMap {
     }
 }
 
+/// Per-core modal superposition of a two-mode step-up schedule.
+///
+/// Core `j` runs `ψ_L,j` for `(1 − r_j)·t_c`, then `ψ_H,j` for `r_j·t_c`.
+/// Eq. (2) is linear and core `j`'s power depends only on its own voltage
+/// (leakage `β` sits in `A`), so the modal stable state at the period end —
+/// the peak by Theorem 1 — is a sum of one closed-form term per core:
+///
+/// ```text
+/// ŷ_k = Σ_j M_kj·[ψ_H,j·(1 − e^{−λ_k·r_j·t_c})
+///                + ψ_L,j·(e^{−λ_k·r_j·t_c} − e^{−λ_k·t_c})] / (1 − e^{−λ_k·t_c})
+/// ```
+///
+/// with `M_kj = P_jk / λ_k` the modal steady state of one watt on core `j`
+/// and `P_i` row `i` of the modal-to-node map
+/// ([`ThermalModel::modal_node_row`]). Moving only `r_j` therefore changes
+/// core `i`'s temperature by `P_i·Δterm_j`, an `O(N)` dot product over the
+/// `N` modes ([`StepUpResponse::ratio_shift`], [`StepUpResponse::core_temp`])
+/// — no schedule, no period map, no basis change. AO's TPT pass ranks its
+/// trials with it; every temperature it serves still comes from the exact
+/// [`PeriodMap`] path.
+#[derive(Debug, Clone)]
+pub struct StepUpResponse {
+    period: f64,
+    /// Modal decay rates `λ_k`.
+    rates: Vector,
+    /// `1 − e^{−λ_k·t_c}`: the fixed-point denominator.
+    settle: Vector,
+    /// `P_c` for every core `c`, in core order.
+    core_rows: Vec<Vector>,
+}
+
+impl StepUpResponse {
+    /// Precomputes the response of `model` for step-up schedules of period
+    /// `period`: `O(n_cores·N)` from the eigenpairs the model already holds.
+    ///
+    /// # Errors
+    /// Returns [`SchedError::Invalid`] for a non-positive or non-finite
+    /// period.
+    pub fn new(model: &ThermalModel, period: f64) -> Result<Self> {
+        if !(period.is_finite() && period > 0.0) {
+            return Err(SchedError::Invalid {
+                what: format!("step-up period {period} must be > 0"),
+            });
+        }
+        let rates = model.modal_rates().clone();
+        let settle = Vector::from_fn(rates.len(), |k| -(-rates[k] * period).exp_m1());
+        let core_rows = (0..model.n_cores()).map(|c| model.modal_node_row(c)).collect();
+        Ok(Self { period, rates, settle, core_rows })
+    }
+
+    /// Core `core`'s modal term: the closed form above for levels of power
+    /// `psi_low`/`psi_high` and a high share `ratio_high` (clamped to
+    /// `[0, 1]`). Summed over cores and mapped through
+    /// [`ThermalModel::from_modal`] it is the stable period-start
+    /// temperature.
+    ///
+    /// # Panics
+    /// Panics when `core` is out of range.
+    #[must_use]
+    pub fn core_term(&self, core: usize, psi_low: f64, psi_high: f64, ratio_high: f64) -> Vector {
+        let r = ratio_high.clamp(0.0, 1.0);
+        let p = &self.core_rows[core];
+        Vector::from_fn(self.rates.len(), |k| {
+            let lt = self.rates[k] * self.period;
+            let e_r = (-lt * r).exp();
+            let high = -(-lt * r).exp_m1();
+            let low = -e_r * (-lt * (1.0 - r)).exp_m1();
+            p[k] / self.rates[k] * (psi_high * high + psi_low * low) / self.settle[k]
+        })
+    }
+
+    /// The modal change `term(to) − term(from)` when core `core` (levels of
+    /// power `psi_low`/`psi_high`) moves its high share from `from` to `to`,
+    /// every other core held. Ratios are clamped to `[0, 1]`; the difference
+    /// of exponentials is taken through `expm1`, so a small move keeps its
+    /// digits.
+    ///
+    /// # Panics
+    /// Panics when `core` is out of range.
+    #[must_use]
+    pub fn ratio_shift(
+        &self,
+        core: usize,
+        psi_low: f64,
+        psi_high: f64,
+        from: f64,
+        to: f64,
+    ) -> Vector {
+        let (from, to) = (from.clamp(0.0, 1.0), to.clamp(0.0, 1.0));
+        let p = &self.core_rows[core];
+        // term(to) − term(from)
+        //     = M·(ψ_H − ψ_L)·(e^{−λ·from·t} − e^{−λ·to·t}) / settle.
+        Vector::from_fn(self.rates.len(), |k| {
+            let lt = self.rates[k] * self.period;
+            let diff = (-lt * to).exp() * (-lt * (from - to)).exp_m1();
+            (psi_high - psi_low) * p[k] / self.rates[k] * diff / self.settle[k]
+        })
+    }
+
+    /// Core `at`'s temperature of the modal vector `y`: `P_at·y`, one row of
+    /// [`ThermalModel::from_modal`] in `O(N)`.
+    ///
+    /// # Panics
+    /// Panics when `at` is out of range or `y` has the wrong length.
+    #[must_use]
+    pub fn core_temp(&self, at: usize, y: &Vector) -> f64 {
+        self.core_rows[at].dot(y).expect("modal dimensions must agree")
+    }
+}
+
 /// One state interval of the repeating block, in modal coordinates.
 #[derive(Debug, Clone)]
 pub struct ModalInterval {

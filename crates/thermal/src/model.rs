@@ -337,6 +337,28 @@ impl ThermalModel {
         Ok(Vector::from_fn(self.n_nodes(), |k| (-self.eigen.values[k] * dt).exp()))
     }
 
+    /// Modal decay rates `λ_k > 0` (1/s) in modal-coordinate order, so that
+    /// [`ThermalModel::modal_decay`]`(dt)[k] = e^{−λ_k·dt}`. These are the
+    /// eigenvalues of `S = C^{-1/2}·G_eff·C^{-1/2}`, ascending.
+    #[must_use]
+    pub fn modal_rates(&self) -> &Vector {
+        &self.eigen.values
+    }
+
+    /// Row `node` of the modal-to-node map: `T[node] = Σ_k row[k]·y_k`
+    /// (see [`ThermalModel::from_modal`]). Since
+    /// `G_eff⁻¹ = C^{-1/2}·V·Λ⁻¹·Vᵀ·C^{-1/2}`, a core's row divided
+    /// elementwise by [`ThermalModel::modal_rates`] is also the modal steady
+    /// state of one watt on that core — read off the eigenpairs, no solve.
+    ///
+    /// # Panics
+    /// Panics when `node` is out of range.
+    #[must_use]
+    pub fn modal_node_row(&self, node: usize) -> Vector {
+        let s = self.c_inv_sqrt[node];
+        Vector::from_fn(self.n_nodes(), |k| s * self.eigen.vectors[(node, k)])
+    }
+
     /// Maps a node-temperature vector into modal coordinates:
     /// `y = Vᵀ·(C^{1/2} ∘ x)`.
     ///
