@@ -106,42 +106,12 @@ pub fn refine(platform: &Platform, ao_sol: &Solution, opts: &PcoOptions) -> Resu
         &[("shifted_cores", shifted_cores.into()), ("peak", peak.into())],
     );
 
-    // Headroom refill: grow the high-voltage share of whichever core keeps
-    // the chip coolest, until no single step fits under T_max.
     let refill_span = mosc_obs::span("pco.refill");
     let t_unit = t_c / opts.refill_divisor as f64;
     let max_iters = platform.n_cores() * opts.refill_divisor * 2;
-    let mut iters = 0;
-    while iters < max_iters {
-        iters += 1;
-        let mut best: Option<(f64, f64, Schedule)> = None; // (peak, gain, schedule)
-        for core in 0..platform.n_cores() {
-            let Some(cand) = grow_high_share(&schedule, core, t_unit) else {
-                continue;
-            };
-            let p = sampled_peak(&cand)?;
-            if p <= t_max + ACCEPT_EPS {
-                let gain = cand.throughput() - schedule.throughput();
-                let better = match &best {
-                    None => true,
-                    Some((bp, bg, _)) => gain > *bg + 1e-15 || (gain >= *bg - 1e-15 && p < *bp),
-                };
-                if better && gain > 0.0 {
-                    best = Some((p, gain, cand));
-                }
-            }
-        }
-        match best {
-            Some((p, _, cand)) => {
-                schedule = cand;
-                peak = p;
-                REFILL_STEPS.incr();
-            }
-            None => break,
-        }
-    }
+    let (mut schedule, steps) = refill(platform, schedule, t_unit, max_iters, sampled_peak)?;
     drop(refill_span);
-    mosc_obs::event("pco.refill_done", &[("steps", iters.into())]);
+    mosc_obs::event("pco.refill_done", &[("steps", steps.into())]);
 
     // Final safety valve: if sampling missed a hot spot at coarse settings,
     // re-check at double resolution and shrink back if needed.
@@ -167,7 +137,6 @@ pub fn refine(platform: &Platform, ao_sol: &Solution, opts: &PcoOptions) -> Resu
         )?
         .temp;
     }
-    let _ = peak;
 
     let solution = Solution {
         algorithm: "PCO",
@@ -184,6 +153,47 @@ pub fn refine(platform: &Platform, ao_sol: &Solution, opts: &PcoOptions) -> Resu
         "PCO result fails static analysis"
     );
     Ok(solution)
+}
+
+/// Headroom refill: grows the high-voltage share of whichever core keeps
+/// the chip coolest by one `t_unit`, until no single step fits under `T_max`
+/// or `max_passes` passes ran. Returns the refilled schedule and the number
+/// of steps accepted.
+fn refill(
+    platform: &Platform,
+    mut schedule: Schedule,
+    t_unit: f64,
+    max_passes: usize,
+    sampled_peak: impl Fn(&Schedule) -> Result<f64>,
+) -> Result<(Schedule, usize)> {
+    let t_max = platform.t_max();
+    let mut steps = 0;
+    for _ in 0..max_passes {
+        let mut best: Option<(f64, f64, Schedule)> = None; // (peak, gain, schedule)
+        for core in 0..platform.n_cores() {
+            let Some(cand) = grow_high_share(&schedule, core, t_unit) else {
+                continue;
+            };
+            let p = sampled_peak(&cand)?;
+            if p <= t_max + ACCEPT_EPS {
+                let gain = cand.throughput() - schedule.throughput();
+                let better = match &best {
+                    None => true,
+                    Some((bp, bg, _)) => gain > *bg + 1e-15 || (gain >= *bg - 1e-15 && p < *bp),
+                };
+                if better && gain > 0.0 {
+                    best = Some((p, gain, cand));
+                }
+            }
+        }
+        let Some((_, _, cand)) = best else {
+            break;
+        };
+        schedule = cand;
+        steps += 1;
+        REFILL_STEPS.incr();
+    }
+    Ok((schedule, steps))
 }
 
 /// Moves `t_unit` seconds from the lowest-voltage segment of `core` to its
@@ -282,6 +292,37 @@ mod tests {
         let p = Platform::build(&PlatformSpec::paper(1, 2, 2, 65.0)).unwrap();
         let sol = solve_with(&p, &quick_opts()).unwrap();
         assert!((sol.throughput - 1.3).abs() < 1e-6);
+    }
+
+    #[test]
+    fn refill_counts_accepted_steps_not_passes() {
+        let p = Platform::build(&PlatformSpec::paper(1, 3, 2, 55.0)).unwrap();
+        let opts = quick_opts();
+        let ao_sol = ao::solve_with(&p, &opts.ao).unwrap();
+        let peak = |s: &Schedule| -> Result<f64> {
+            Ok(eval::peak_temperature(p.thermal(), p.power(), s, Some(opts.samples))?.temp)
+        };
+        let t_unit = ao_sol.schedule.period() / opts.refill_divisor as f64;
+
+        // AO's answer leaves no step's worth of headroom: the one pass that
+        // finds nothing to accept is not a step.
+        let (same, steps) = refill(&p, ao_sol.schedule.clone(), t_unit, 100, peak).unwrap();
+        assert_eq!(steps, 0, "a pass that accepts nothing counts nothing");
+        assert_eq!(same.throughput(), ao_sol.schedule.throughput());
+
+        // Free headroom on core 0, then give it back one step at a time.
+        let mut cooled = ao_sol.schedule.clone();
+        for _ in 0..3 {
+            cooled = transfer_time(&cooled, 0, t_unit, false).unwrap();
+        }
+        let (_, none) = refill(&p, cooled.clone(), t_unit, 0, peak).unwrap();
+        assert_eq!(none, 0);
+        let (one, steps) = refill(&p, cooled.clone(), t_unit, 1, peak).unwrap();
+        assert_eq!(steps, 1);
+        assert!(one.throughput() > cooled.throughput());
+        let (all, steps) = refill(&p, cooled.clone(), t_unit, 100, peak).unwrap();
+        assert!((1..100).contains(&steps), "refill ran {steps} steps");
+        assert!(all.throughput() >= one.throughput());
     }
 
     #[test]

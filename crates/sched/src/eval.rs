@@ -57,6 +57,18 @@ struct IntervalState {
     y_at_start: Vector,
 }
 
+impl IntervalState {
+    /// Writes the stable modal state `dt` into the interval into `y`:
+    /// `e^{−λ·dt}∘(y_start − y∞) + y∞`, with `λ` the model's
+    /// [`ThermalModel::modal_rates`] (the factors of `modal_decay(dt)`).
+    fn modal_at(&self, rates: &Vector, dt: f64, y: &mut [f64]) {
+        let modes = rates.iter().zip(self.y_at_start.iter()).zip(self.y_inf.iter());
+        for (yk, ((&lam, &y0), &yi)) in y.iter_mut().zip(modes) {
+            *yk = (-lam * dt).exp() * (y0 - yi) + yi;
+        }
+    }
+}
+
 /// The periodic thermal stable status of a schedule on a model: the
 /// start-of-period temperature fixed point plus the per-interval modal data
 /// needed to reconstruct the trace anywhere inside the repeating block (the
@@ -166,44 +178,77 @@ impl SteadyState {
     /// # Errors
     /// Solver failures only (cannot occur for a constructed model).
     pub fn trace(&self, model: &ThermalModel, samples: usize) -> Result<Trace> {
-        let period = self.block_period();
-        let dt_target = period / samples.max(1) as f64;
         let mut trace = Trace::with_capacity(self.n_cores, samples + self.intervals.len() + 2);
         trace.push(0.0, self.t_start.clone());
+        self.walk(model, samples, |time, y| {
+            trace.push(time, period_map::from_modal(model, y)?);
+            Ok(())
+        })?;
+        Ok(trace)
+    }
+
+    /// The sample walk behind [`SteadyState::trace`] and
+    /// [`SteadyState::peak_sampled`]: steps each block interval in
+    /// `ceil(len / dt_target)` equal steps of `h`, advancing one reused modal
+    /// buffer by `y ← d∘(y − y∞) + y∞` with `d = e^{−λ·h}`, and hands
+    /// `visit` every sample after the period start (time, modal state).
+    /// Allocates per walk and per interval, never per sample.
+    fn walk(
+        &self,
+        model: &ThermalModel,
+        samples: usize,
+        mut visit: impl FnMut(f64, &Vector) -> Result<()>,
+    ) -> Result<()> {
+        let dt_target = self.block_period() / samples.max(1) as f64;
+        let mut y = Vector::zeros(model.n_nodes());
         for iv in &self.intervals {
             let n_steps = (iv.len / dt_target).ceil().max(1.0) as usize;
             let h = iv.len / n_steps as f64;
             let d = model.modal_decay(h)?;
-            let mut y = iv.y_at_start.clone();
+            y.as_mut_slice().copy_from_slice(iv.y_at_start.as_slice());
             for s in 1..=n_steps {
-                y = Vector::from_fn(y.len(), |k| d[k] * (y[k] - iv.y_inf[k]) + iv.y_inf[k]);
-                trace.push(iv.start + h * s as f64, period_map::from_modal(model, &y)?);
+                let modes = d.iter().zip(iv.y_inf.iter());
+                for (yk, (&dk, &ik)) in y.as_mut_slice().iter_mut().zip(modes) {
+                    *yk = dk * (*yk - ik) + ik;
+                }
+                visit(iv.start + h * s as f64, &y)?;
             }
         }
-        Ok(trace)
+        Ok(())
     }
 
-    /// Peak core temperature over a sampled stable-status trace.
+    /// Peak core temperature over the sampled stable-status trace:
+    /// bit-identical to `self.trace(model, samples)?.peak()`, but each sample
+    /// projects only the core rows of the basis change and feeds a running
+    /// maximum (same scan order, strict `>`), so no trace is stored and
+    /// nothing is allocated per sample.
     ///
     /// # Errors
-    /// Propagates trace-construction failures.
+    /// Solver failures only (cannot occur for a constructed model).
     pub fn peak_sampled(&self, model: &ThermalModel, samples: usize) -> Result<PeakReport> {
-        let trace = self.trace(model, samples)?;
-        let p = trace.peak().expect("trace has at least the start sample");
-        Ok(PeakReport { temp: p.temp, core: p.core, time: p.time, exact: false })
+        let mut best: Option<PeakReport> = None;
+        let mut consider = |time: f64, core: usize, temp: f64| {
+            if best.is_none_or(|b| temp > b.temp) {
+                best = Some(PeakReport { temp, core, time, exact: false });
+            }
+        };
+        for core in 0..self.n_cores {
+            consider(0.0, core, self.t_start[core]);
+        }
+        self.walk(model, samples, |time, y| {
+            period_map::count_projection();
+            for core in 0..self.n_cores {
+                consider(time, core, model.node_from_modal(core, y.as_slice()));
+            }
+            Ok(())
+        })?;
+        Ok(best.expect("a platform has at least one core"))
     }
 
-    /// Temperature vector at an arbitrary time within the period (stable
-    /// status): one elementwise modal step from the enclosing interval's
-    /// start plus a basis change — no propagator build, so golden-section
-    /// refinement and PCO's sampled peaks stay `expm`-free.
-    ///
-    /// Times beyond the first block (repeated schedules) are folded modulo
-    /// the block period, which the stable trace is periodic in.
-    ///
-    /// # Errors
-    /// Rejects times outside `[0, period]`; propagates solver failures.
-    pub fn at_time(&self, model: &ThermalModel, t: f64) -> Result<Vector> {
+    /// The block interval enclosing time `t` and the offset into it, with
+    /// times beyond the first block folded modulo the block period; `None`
+    /// past the last interval (within `EPS` of the block end).
+    fn locate(&self, t: f64) -> Result<Option<(&IntervalState, f64)>> {
         let block = self.block_period();
         let period = block * self.repetitions as f64;
         if !(0.0..=period + EPS).contains(&t) {
@@ -212,16 +257,52 @@ impl SteadyState {
             });
         }
         let t = if t > block + EPS { t % block } else { t };
-        for iv in &self.intervals {
-            if t <= iv.start + iv.len + EPS {
-                let d = model.modal_decay((t - iv.start).max(0.0))?;
-                let y = Vector::from_fn(d.len(), |k| {
-                    d[k] * (iv.y_at_start[k] - iv.y_inf[k]) + iv.y_inf[k]
-                });
-                return period_map::from_modal(model, &y);
+        Ok(self
+            .intervals
+            .iter()
+            .find(|iv| t <= iv.start + iv.len + EPS)
+            .map(|iv| (iv, (t - iv.start).max(0.0))))
+    }
+
+    /// Temperature vector at an arbitrary time within the period (stable
+    /// status): one elementwise modal step from the enclosing interval's
+    /// start plus a basis change — no propagator build.
+    ///
+    /// Times beyond the first block (repeated schedules) are folded modulo
+    /// the block period, which the stable trace is periodic in.
+    ///
+    /// # Errors
+    /// Rejects times outside `[0, period]`; propagates solver failures.
+    pub fn at_time(&self, model: &ThermalModel, t: f64) -> Result<Vector> {
+        match self.locate(t)? {
+            Some((iv, dt)) => {
+                let mut y = Vector::zeros(model.n_nodes());
+                iv.modal_at(model.modal_rates(), dt, y.as_mut_slice());
+                period_map::from_modal(model, &y)
             }
+            None => Ok(self.at_ends.last().expect("non-empty schedule").clone()),
         }
-        Ok(self.at_ends.last().expect("non-empty schedule").clone())
+    }
+
+    /// One core's stable temperature at time `t`, bit-identical to
+    /// `self.at_time(model, t)?[core]`: the modal state is written into the
+    /// caller's buffer `y` and only `core`'s row of the basis change is
+    /// summed.
+    fn core_at_time(
+        &self,
+        model: &ThermalModel,
+        core: usize,
+        t: f64,
+        y: &mut [f64],
+    ) -> Result<f64> {
+        match self.locate(t)? {
+            Some((iv, dt)) => {
+                iv.modal_at(model.modal_rates(), dt, y);
+                period_map::count_projection();
+                Ok(model.node_from_modal(core, y))
+            }
+            None => Ok(self.at_ends.last().expect("non-empty schedule")[core]),
+        }
     }
 
     /// Sampled peak refined by golden-section search around the hottest
@@ -248,10 +329,12 @@ impl SteadyState {
         let lo = (coarse.time - window).max(0.0);
         let hi = (coarse.time + window).min(period);
         let core = coarse.core;
-        let f = |t: f64| -> Result<f64> { Ok(self.at_time(model, t)?[core]) };
+        let mut y = vec![0.0; model.n_nodes()];
+        let mut f = |t: f64| self.core_at_time(model, core, t, &mut y);
 
         // Split the window at the state-interval boundaries inside it.
-        let mut cuts = vec![lo];
+        let mut cuts = Vec::with_capacity(2 + 2 * self.intervals.len());
+        cuts.push(lo);
         for iv in &self.intervals {
             for b in [iv.start, iv.start + iv.len] {
                 if b > lo + EPS && b < hi - EPS {

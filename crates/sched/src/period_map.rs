@@ -31,10 +31,12 @@ use mosc_power::PowerLike;
 use mosc_thermal::ThermalModel;
 use std::sync::Arc;
 
-/// Dense `O(n²)` basis changes (modal transforms) performed by the kernel —
-/// the only super-linear work left; everything else is elementwise. Stays
-/// flat in the oscillation factor `m`, which is what the `ci.sh` profile
-/// smoke asserts.
+/// Basis changes out of modal coordinates performed by the kernel — the
+/// only super-linear work left; everything else is elementwise. A basis
+/// change is either full (all `N` node rows, `O(N²)`) or projects only the
+/// rows a caller reads (the core rows of a sampled peak, one core's row of a
+/// golden-section point); each counts once. Stays flat in the oscillation
+/// factor `m`, which is what the `ci.sh` profile smoke asserts.
 static PERIOD_MAP_MATMULS: mosc_obs::Counter = mosc_obs::Counter::new("period_map.matmuls");
 /// Elementwise modal-map compositions (interval chaining plus the binary
 /// squaring steps of [`ModalMap::repeated`]).
@@ -44,6 +46,12 @@ static PERIOD_MAP_COMPOSES: mosc_obs::Counter = mosc_obs::Counter::new("period_m
 pub(crate) fn from_modal(model: &ThermalModel, y: &Vector) -> Result<Vector> {
     PERIOD_MAP_MATMULS.incr();
     Ok(model.from_modal(y)?)
+}
+
+/// Counts one row-projected basis change: the caller reads some rows of
+/// `from_modal(y)` through [`ThermalModel::node_from_modal`] instead.
+pub(crate) fn count_projection() {
+    PERIOD_MAP_MATMULS.incr();
 }
 
 /// An affine map `y ↦ decay ∘ y + offset` on modal coordinates — the

@@ -8,10 +8,14 @@
 //!   methods the workload generators use (`gen_range` over integer and float
 //!   ranges, Fisher–Yates [`Rng64::shuffle`]);
 //! * [`propcheck`] / [`propcheck_cases`] — run a property over many seeded
-//!   cases and report the first failing seed so a failure reproduces exactly.
+//!   cases and report the first failing seed so a failure reproduces exactly;
+//! * [`CountingAlloc`] — a global allocator that counts allocation calls
+//!   per thread, for allocation guards.
 
+pub mod alloc;
 pub mod prop;
 pub mod rng;
 
+pub use alloc::{thread_allocations, CountingAlloc};
 pub use prop::{propcheck, propcheck_cases};
 pub use rng::{Rng64, SampleRange};

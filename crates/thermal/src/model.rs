@@ -393,6 +393,25 @@ impl ThermalModel {
         Ok(Vector::from_fn(vy.len(), |i| self.c_inv_sqrt[i] * vy[i]))
     }
 
+    /// One node's temperature of a modal vector: `from_modal(y)[node]`
+    /// without the other rows. Row `node` of `V` is summed in
+    /// `Matrix::matvec`'s order and then scaled by `C^{-1/2}`, so the result
+    /// is bit-identical to the full basis change (unlike a dot product with
+    /// the pre-scaled [`ThermalModel::modal_node_row`]).
+    ///
+    /// # Panics
+    /// Panics when `node` is out of range or `y.len() != n_nodes()`.
+    #[must_use]
+    pub fn node_from_modal(&self, node: usize, y: &[f64]) -> f64 {
+        let row = self.eigen.vectors.row(node);
+        assert_eq!(row.len(), y.len(), "node_from_modal: modal vector length");
+        let mut acc = 0.0;
+        for (a, b) in row.iter().zip(y) {
+            acc += a * b;
+        }
+        self.c_inv_sqrt[node] * acc
+    }
+
     /// The modal steady state `y∞ = Vᵀ·C^{1/2}·T∞(ψ)` for a per-core power
     /// profile, memoized by the profile's bit pattern. Schedule evaluations
     /// revisit the same handful of voltage vectors thousands of times per
@@ -624,6 +643,19 @@ mod tests {
         assert!(m.modal_decay(-1.0).is_err());
         assert!(m.to_modal(&Vector::zeros(1)).is_err());
         assert!(m.from_modal(&Vector::zeros(1)).is_err());
+    }
+
+    #[test]
+    fn node_from_modal_is_bit_identical_to_the_full_basis_change() {
+        let m = model(2, 3, 0.03);
+        for seed in 0..8 {
+            let y = Vector::from_fn(m.n_nodes(), |k| ((k * 7 + seed * 3) % 11) as f64 * 0.37 - 1.9);
+            let full = m.from_modal(&y).unwrap();
+            for node in 0..m.n_nodes() {
+                let one = m.node_from_modal(node, y.as_slice());
+                assert_eq!(one.to_bits(), full[node].to_bits(), "node {node}, seed {seed}");
+            }
+        }
     }
 
     #[test]

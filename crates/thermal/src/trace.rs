@@ -4,8 +4,8 @@ use mosc_linalg::Vector;
 
 /// A recorded temperature trace: sample times paired with full node
 /// temperature vectors. Used by the figure-reproduction binaries (Fig. 2,
-/// Fig. 4) and by the sampling-based peak-temperature evaluator for
-/// non-step-up schedules.
+/// Fig. 4) and the stable-energy integral; its [`Trace::peak`] scan order
+/// is the one the sampled peak-temperature evaluator reproduces in place.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     times: Vec<f64>,
