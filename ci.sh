@@ -87,6 +87,12 @@ cargo run -q --release -p mosc-bench --bin periodmap -- --csv target/bench >/dev
 grep -q '"type":"periodmap"' target/bench/BENCH_periodmap.json \
     || { echo "BENCH_periodmap.json missing periodmap records" >&2; exit 1; }
 
+echo "==> reproduction shape checks (validate_all)"
+# Every paper shape check plus the kernel-attribution checks; a check that
+# goes stale when a kernel changes fails here. Writes BENCH_obs.json (ignored).
+validate_out=$(cargo run -q --release -p mosc-bench --bin validate_all) \
+    || { echo "$validate_out"; echo "validate_all: a shape check failed" >&2; exit 1; }
+
 echo "==> mosc-serve smoke (daemon, cached solve, typed errors, drained shutdown)"
 cargo build -q --release --bin mosc-cli
 serve_log=target/bench/serve_smoke.log
@@ -193,7 +199,7 @@ printf '%s\n' '{"id":"bye","op":"shutdown"}' \
     | ./target/release/mosc-cli client --addr "$obs_addr" >/dev/null
 wait "$obs_pid" || { echo "observability smoke: daemon exited non-zero" >&2; cat "$obs_log" >&2; exit 1; }
 # The slow-request entry for the governor solve carries its span tree and a
-# nonzero expm.calls delta (the transient propagator cache at work).
+# nonzero expm.calls delta (one per modal `advance` step).
 grep '"id":"qgov"' "$access_log" | grep -q '"spans":.*reactive.simulate' \
     || { echo "observability smoke: governor access entry has no span tree" >&2; exit 1; }
 gov_expm=$(sed -n 's/.*"id":"qgov".*"expm_calls":\([0-9]*\).*/\1/p' "$access_log")

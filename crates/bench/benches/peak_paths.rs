@@ -19,8 +19,8 @@ fn bench_peak_paths(r: &mut Runner) {
         let n = rows * cols;
         let gen = ScheduleGen { period: 0.5, max_segments: 3, ..ScheduleGen::default() };
         let stepup = gen.stepup_schedule(&mut rng(77), n);
-        // Pre-warm the propagator cache so the benchmark isolates the
-        // per-evaluation cost, matching how the algorithms use it.
+        // Pre-warm the modal steady-state memo so the benchmark isolates
+        // the per-evaluation cost, matching how the algorithms use it.
         let _ = p.peak(&stepup).expect("peak");
 
         group.bench(&format!("thm1_exact/{n}"), || {

@@ -16,8 +16,8 @@
 //! 3. `batch_warm` — repeated `solve_batch` rounds on the now-interned
 //!    platform: zero eigendecompositions (asserted via the process-global
 //!    `eigen.calls` counter — the daemon runs in this process), just the
-//!    per-variant solves, which also reuse the interned platform's
-//!    transient-propagator cache across rounds.
+//!    per-variant solves, which also reuse the interned platform's modal
+//!    T∞ memo across rounds.
 //!
 //! The table reports per-variant wall time per phase; `speedup_x` on the
 //! `batch_warm` record is the per-request p50 over the warm per-variant

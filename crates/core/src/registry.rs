@@ -2,15 +2,15 @@
 //!
 //! The paper's Algorithm 2 recomputes the platform's modal decomposition
 //! for every solve, and the serve layer inherited that: each request built
-//! a fresh [`Platform`] — the `C^{-1/2} G C^{-1/2}` eigendecomposition,
-//! per-voltage T∞ vectors, and (lazily, during the first solves) the
-//! interval propagators — even when thousands of requests share one
-//! platform. This module interns platforms by the content hash of their
-//! canonical spec so repeated-platform traffic reuses a single
-//! [`Platform`] instance, and with it every memoized kernel artifact:
-//! a warm solve performs zero eigendecompositions (`eigen_calls == 0` in
-//! its [`crate::KernelDelta`]), and zero matrix exponentials for interval
-//! durations any earlier solve on the platform already visited.
+//! a fresh [`Platform`] — the `C^{-1/2} G C^{-1/2}` eigendecomposition and
+//! (lazily, during the first solves) the per-voltage T∞ vectors — even
+//! when thousands of requests share one platform. This module interns
+//! platforms by the content hash of their canonical spec so
+//! repeated-platform traffic reuses a single [`Platform`] instance, and with
+//! it every memoized kernel artifact: a warm solve performs zero
+//! eigendecompositions (`eigen_calls == 0` in its [`crate::KernelDelta`])
+//! and no steady-state solve for a power profile any earlier solve on the
+//! platform already visited.
 //!
 //! Keying is the same shape as the serve solution cache after its PR-8
 //! collision fix: a 64-bit FNV-1a hash of the canonical preimage for O(1)
@@ -32,8 +32,9 @@ static REGISTRY_HITS: mosc_obs::Counter = mosc_obs::Counter::new("registry.hits"
 /// entry, or a verification failure on a colliding hash).
 static REGISTRY_MISSES: mosc_obs::Counter = mosc_obs::Counter::new("registry.misses");
 
-/// Entries the process-global registry holds before evicting (a platform's
-/// memoized propagator tables dominate its footprint, so this stays small).
+/// Entries the process-global registry holds before evicting. An entry's
+/// footprint is its eigenbasis plus its memo of modal T∞ vectors (capped per
+/// model); nothing grows with the interval lengths its solves visit.
 pub const DEFAULT_CAPACITY: usize = 64;
 
 /// 64-bit FNV-1a over the canonical preimage — the same derivation the

@@ -243,7 +243,8 @@ impl From<BnbStats> for SolverStats {
 /// `mosc-obs` recorder is disabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelDelta {
-    /// Matrix-exponential evaluations (`expm.calls`).
+    /// Matrix exponentials built or applied (`expm.calls`): one per
+    /// transient `advance` step; AO and PCO build none.
     pub expm_calls: u64,
     /// Matrix products inside the period-map kernel (`period_map.matmuls`).
     pub period_map_matmuls: u64,
@@ -255,8 +256,7 @@ pub struct KernelDelta {
     /// `Platform::build`, so a solve on an already-built platform reports 0.
     pub eigen_calls: u64,
     /// Platform-registry hits (`registry.hits`): lookups served an interned
-    /// platform with its eigenbasis, T∞ vectors and propagators already
-    /// warm. A warm-registry solve must report `eigen_calls == 0` — the
+    /// platform with its eigenbasis and T∞ memo already warm. A warm-registry solve must report `eigen_calls == 0` — the
     /// `M110` analyzer lint enforces exactly that join.
     pub registry_hits: u64,
     /// Platform-registry misses (`registry.misses`): lookups that had to
@@ -414,8 +414,8 @@ pub struct BatchVariant {
 /// to the variant count).
 ///
 /// All variants share the platform's memoized kernel state — the
-/// eigendecomposition, per-voltage T∞ vectors, and interval propagators are
-/// computed at most once across the whole batch instead of once per solve.
+/// eigendecomposition and the per-voltage T∞ vectors are computed at most
+/// once across the whole batch instead of once per solve.
 /// Results are returned in variant order and are bit-identical to calling
 /// [`solve`] on each variant sequentially: the fan-out is a round-robin
 /// partition with in-order collection, and the solvers themselves are

@@ -24,8 +24,8 @@ fn solve_reports_kernel_deltas_when_enabled_and_zeros_when_disabled() {
     assert!(report.kernel.steady_state_calls > 0, "{:?}", report.kernel);
     assert!(!report.kernel.is_zero());
 
-    // The governor steps the transient model, which *does* build matrix
-    // exponentials — a fresh platform makes its propagator cache cold.
+    // The governor steps the transient model, and each `advance` step
+    // applies one matrix exponential, counted on `expm.calls`.
     let p_gov = mosc_sched::Platform::build(&PlatformSpec::paper(1, 2, 2, 55.0)).unwrap();
     let mut gov_opts = SolveOptions::default();
     gov_opts.governor.horizon = 10.0;

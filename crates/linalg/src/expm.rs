@@ -10,19 +10,18 @@
 
 use crate::{norm_1, LinalgError, Lu, Matrix, Result};
 
-/// Dense matrix exponentials computed ([`expm`] and [`expm_scaled`] both
-/// land here, and `mosc-thermal` reports its eigen-path propagator builds
-/// through [`count_expm_call`]). The dominant cost driver of every solver —
-/// watching this counter is how telemetry attributes solver cost.
+/// Matrix exponentials evaluated: dense ones built here ([`expm`] and
+/// [`expm_scaled`] both land here), plus the ones `mosc-thermal` builds
+/// (`propagator`) or applies (`advance`) through its eigendecomposition,
+/// reported via [`count_expm_call`]. Telemetry attributes the transient
+/// solvers' cost by watching this counter.
 static EXPM_CALLS: mosc_obs::Counter = mosc_obs::Counter::new("expm.calls");
-/// Matrix-free exponential actions computed by [`expm_action`].
-static EXPM_ACTION_CALLS: mosc_obs::Counter = mosc_obs::Counter::new("expm_action.calls");
 
-/// Records a matrix-exponential evaluation performed outside this module
-/// into the shared `expm.calls` metric. The thermal model computes `e^{A·dt}`
-/// through its cached eigendecomposition rather than Padé, but it is the
+/// Records a matrix exponential evaluated outside this module into the
+/// shared `expm.calls` metric. The thermal model builds or applies
+/// `e^{A·dt}` through its eigendecomposition rather than Padé, but it is the
 /// same `Φ(dt)` of eq. (3); counting both keeps `expm.calls` meaning "matrix
-/// exponentials evaluated" regardless of the algorithm (cache hits excluded).
+/// exponentials evaluated" regardless of the algorithm.
 pub fn count_expm_call() {
     EXPM_CALLS.incr();
 }
@@ -141,53 +140,6 @@ pub fn expm_scaled(a: &Matrix, t: f64) -> Result<Matrix> {
         return Err(LinalgError::NonFinite { op: "expm_scaled" });
     }
     expm(&a.scaled(t))
-}
-
-/// Computes the action `e^{A·t}·x` without forming the matrix exponential,
-/// via scaled truncated Taylor series (a simplified Al-Mohy–Higham scheme):
-/// the work is `O(s·k·n²)` matrix–vector products instead of the `O(n³)`
-/// dense exponential — the right tool once grid-mode thermal models push the
-/// node count into the hundreds.
-///
-/// # Errors
-/// Shape mismatches, non-finite inputs.
-pub fn expm_action(a: &Matrix, t: f64, x: &crate::Vector) -> Result<crate::Vector> {
-    EXPM_ACTION_CALLS.incr();
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare { shape: a.shape(), op: "expm_action" });
-    }
-    if a.rows() != x.len() {
-        return Err(LinalgError::ShapeMismatch {
-            left: a.shape(),
-            right: (x.len(), 1),
-            op: "expm_action",
-        });
-    }
-    if !a.is_finite() || !x.is_finite() || !t.is_finite() {
-        return Err(LinalgError::NonFinite { op: "expm_action" });
-    }
-    // Scale so that ‖A·t/s‖₁ ≤ 1, then apply s Taylor stages.
-    let norm = norm_1(a) * t.abs();
-    let s = norm.ceil().max(1.0) as usize;
-    let h = t / s as f64;
-    // Taylor truncation: with ‖A·h‖ ≤ 1 the remainder after k terms is
-    // bounded by 1/k!; k = 20 puts it below 4e-19.
-    const K: usize = 20;
-    let mut y = x.clone();
-    for _ in 0..s {
-        let mut term = y.clone();
-        let mut acc = y.clone();
-        for k in 1..=K {
-            let az = a.matvec(&term)?;
-            term = az.scaled(h / k as f64);
-            acc += &term;
-            if term.norm_inf() <= 1e-18 * acc.norm_inf().max(1.0) {
-                break;
-            }
-        }
-        y = acc;
-    }
-    Ok(y)
 }
 
 /// Evaluates the order-`m` diagonal Padé approximant `r_m(A) ≈ e^A`.
@@ -339,40 +291,6 @@ mod tests {
         a[(1, 1)] = f64::INFINITY;
         assert!(matches!(expm(&a), Err(LinalgError::NonFinite { .. })));
         assert!(expm_scaled(&Matrix::identity(2), f64::NAN).is_err());
-    }
-
-    #[test]
-    fn expm_action_matches_dense_exponential() {
-        let a = Matrix::from_rows(&[&[-2.0, 0.5, 0.1], &[0.5, -3.0, 0.7], &[0.1, 0.7, -1.5]]);
-        let x = Vector::from_slice(&[1.0, -2.0, 0.5]);
-        for t in [0.01, 0.3, 2.0, 15.0] {
-            let dense = expm_scaled(&a, t).unwrap().matvec(&x).unwrap();
-            let action = expm_action(&a, t, &x).unwrap();
-            assert!(
-                dense.max_abs_diff(&action) < 1e-10,
-                "t={t}: diff {}",
-                dense.max_abs_diff(&action)
-            );
-        }
-    }
-
-    #[test]
-    fn expm_action_validates_inputs() {
-        let a = Matrix::identity(2);
-        assert!(expm_action(&Matrix::zeros(2, 3), 1.0, &Vector::zeros(2)).is_err());
-        assert!(expm_action(&a, 1.0, &Vector::zeros(3)).is_err());
-        assert!(expm_action(&a, f64::NAN, &Vector::zeros(2)).is_err());
-        let mut bad = Vector::zeros(2);
-        bad[0] = f64::INFINITY;
-        assert!(expm_action(&a, 1.0, &bad).is_err());
-    }
-
-    #[test]
-    fn expm_action_zero_time_is_identity() {
-        let a = Matrix::from_rows(&[&[-1.0, 0.2], &[0.2, -2.0]]);
-        let x = Vector::from_slice(&[3.0, -4.0]);
-        let y = expm_action(&a, 0.0, &x).unwrap();
-        assert!(y.max_abs_diff(&x) < 1e-15);
     }
 
     #[test]

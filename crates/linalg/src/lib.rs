@@ -35,7 +35,7 @@ mod vector;
 
 pub use eigen::{JacobiOptions, SymmetricEigen};
 pub use error::LinalgError;
-pub use expm::{count_expm_call, expm, expm_action, expm_scaled};
+pub use expm::{count_expm_call, expm, expm_scaled};
 pub use lu::{solve as lu_solve, Lu};
 pub use matrix::Matrix;
 pub use norms::{norm_1, norm_fro, norm_inf};

@@ -27,6 +27,7 @@ use crate::{Result, SchedError, Schedule};
 use mosc_linalg::{Lu, Matrix, Vector};
 use mosc_power::PowerLike;
 use mosc_thermal::{ThermalModel, Trace};
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 /// Periodic fixed points computed ([`SteadyState::compute`] and the exact
@@ -464,10 +465,11 @@ pub fn peak_temperature<P: PowerLike + ?Sized>(
 /// Interval-by-interval dense reference for [`SteadyState::compute`]: walks
 /// every materialized state interval of the *full* period (all repetitions),
 /// composing `K = Π Φ_q` with dense products and solving `(I − K)·T = r` by
-/// LU — `O(m·d·n³)` for a block of `d` intervals repeated `m` times. Returns
-/// the start-of-period fixed point and the temperatures at every interval
-/// end. Retained as the property-test oracle and the "before" side of the
-/// period-map bench comparison.
+/// LU — `O(m·d·n³)` for a block of `d` intervals repeated `m` times. Each
+/// distinct interval length's dense [`ThermalModel::propagator`] is built
+/// once per call. Returns the start-of-period fixed point and the
+/// temperatures at every interval end. Retained as the property-test oracle
+/// and the "before" side of the period-map bench comparison.
 ///
 /// # Errors
 /// Core-count mismatches or solver failures.
@@ -486,13 +488,17 @@ pub fn compute_dense<P: PowerLike + ?Sized>(
     let ivs = schedule.state_intervals();
 
     // Per-interval steady states and propagators; compose the period map.
+    let mut phis: HashMap<u64, Matrix> = HashMap::new();
     let mut k = Matrix::identity(n);
     let mut r = Vector::zeros(n);
     let mut interval_data = Vec::with_capacity(ivs.len());
     for (voltages, len) in &ivs {
         let psi = power.psi_profile_of(voltages);
         let t_inf = model.steady_state(&psi)?;
-        let phi = model.propagator(*len)?;
+        let phi = match phis.entry(len.to_bits()) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(model.propagator(*len)?),
+        };
         // r ← Φ·r + (I − Φ)·T∞;  K ← Φ·K
         let phir = phi.matvec(&r)?;
         let phit = phi.matvec(&t_inf)?;
@@ -509,7 +515,7 @@ pub fn compute_dense<P: PowerLike + ?Sized>(
     let mut at_ends = Vec::with_capacity(interval_data.len());
     let mut cur = t_start.clone();
     for (len, t_inf) in &interval_data {
-        let phi = model.propagator(*len)?;
+        let phi = &phis[&len.to_bits()];
         let diff = &cur - t_inf;
         cur = &phi.matvec(&diff)? + t_inf;
         at_ends.push(cur.clone());
@@ -569,6 +575,11 @@ pub fn stable_energy_per_period<P: PowerLike + ?Sized>(
 /// schedule for `n_periods` periods, sampling `samples_per_period` points in
 /// each. Used by the Fig. 4 reproduction (step-up warm-up from ambient).
 ///
+/// The state steps in modal coordinates, as in
+/// [`ThermalModel::advance`]: one basis change in at the start, per
+/// interval one memoized `y∞` and one decay vector, and per recorded sample
+/// one elementwise step and one basis change out.
+///
 /// # Errors
 /// Core-count mismatches, dimension mismatches, or solver failures.
 pub fn transient_trace<P: PowerLike + ?Sized>(
@@ -599,23 +610,23 @@ pub fn transient_trace<P: PowerLike + ?Sized>(
     let mut trace =
         Trace::with_capacity(model.n_cores(), n_periods * (samples_per_period + ivs.len()) + 2);
     trace.push(0.0, t0.clone());
-    let mut cur = t0.clone();
+    let mut y = model.to_modal(t0)?;
     let mut time = 0.0;
     for _ in 0..n_periods {
         for (voltages, len) in &ivs {
             if *len <= EPS {
                 continue;
             }
-            let psi = power.psi_profile_of(voltages);
-            let t_inf = model.steady_state(&psi)?;
+            let y_inf = model.modal_steady_state(&power.psi_profile_of(voltages))?;
             let n_steps = (len / dt_target).ceil().max(1.0) as usize;
             let h = len / n_steps as f64;
-            let phi = model.propagator(h)?;
+            let decay = model.modal_decay(h)?;
             for _ in 0..n_steps {
-                let diff = &cur - &t_inf;
-                cur = &phi.matvec(&diff)? + &t_inf;
+                for (k, yk) in y.as_mut_slice().iter_mut().enumerate() {
+                    *yk = decay[k] * (*yk - y_inf[k]) + y_inf[k];
+                }
                 time += h;
-                trace.push(time, cur.clone());
+                trace.push(time, model.from_modal(&y)?);
             }
         }
     }

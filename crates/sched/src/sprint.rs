@@ -12,9 +12,10 @@
 //!   the chip re-enters a target envelope?
 //!
 //! Both are bisections on the exact transient `T(t) = T∞ + e^{At}(T0 − T∞)`,
-//! evaluated per candidate time through the model's cached propagators. The
-//! `sprinting` experiment compares sprint/rest duty cycling against AO's
-//! sustained schedule at equal `T_max`.
+//! evaluated per candidate time by [`ThermalModel::advance`]'s modal step,
+//! which keeps nothing per candidate time. The `sprinting` experiment
+//! compares sprint/rest duty cycling against AO's sustained schedule at
+//! equal `T_max`.
 
 use crate::{Result, SchedError};
 use mosc_linalg::Vector;

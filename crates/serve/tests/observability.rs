@@ -44,8 +44,8 @@ fn latency_metrics_and_access_log_cover_every_request() {
 
     // Three solve requests: an AO miss (period-map/steady-state kernel
     // deltas), an identical AO hit (cached, no solver spans), and a
-    // governor run (its transient model builds matrix exponentials, so the
-    // expm.calls delta is nonzero).
+    // governor run (each transient step applies a matrix exponential, so
+    // the expm.calls delta is nonzero).
     let ao = format!(r#"{{"id":"ao-1","solver":"ao","platform":{PLATFORM}}}"#);
     let doc = roundtrip(addr, &ao);
     assert_eq!(doc.get("status").and_then(Value::as_str), Some("ok"), "{doc:?}");

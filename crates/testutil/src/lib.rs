@@ -10,12 +10,12 @@
 //! * [`propcheck`] / [`propcheck_cases`] — run a property over many seeded
 //!   cases and report the first failing seed so a failure reproduces exactly;
 //! * [`CountingAlloc`] — a global allocator that counts allocation calls
-//!   per thread, for allocation guards.
+//!   and live bytes per thread, for allocation and retention guards.
 
 pub mod alloc;
 pub mod prop;
 pub mod rng;
 
-pub use alloc::{thread_allocations, CountingAlloc};
+pub use alloc::{thread_allocations, thread_live_bytes, CountingAlloc};
 pub use prop::{propcheck, propcheck_cases};
 pub use rng::{Rng64, SampleRange};

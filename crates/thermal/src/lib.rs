@@ -23,9 +23,10 @@
 //!   with ambient legs) and capacitance vector `C` over nodes
 //!   {die₀…, spreader₀…, sink₀…}.
 //! * [`ThermalModel`] — the LTI system: steady states `T∞ = (G−βE)⁻¹·ψ`, the
-//!   response matrix used by the fast exhaustive search, cached interval
-//!   propagators `Φ = e^{A·l}` (diagonalized once, then O(n²)·matmul per new
-//!   interval length), and a stability proof obligation (all eigenvalues of
+//!   response matrix used by the fast exhaustive search, the interval step
+//!   `T ↦ e^{A·l}(T − T∞) + T∞` taken in the eigenbasis (diagonalized once;
+//!   each step is two basis changes and an elementwise decay, with nothing
+//!   cached per `l`), and a stability proof obligation (all eigenvalues of
 //!   `A` negative) checked at construction.
 //! * [`sim`] — a fixed-step RK4 reference integrator used to cross-validate
 //!   the analytic propagator, and [`Trace`] recording for the figure

@@ -3,17 +3,11 @@
 use crate::{RcNetwork, Result, ThermalError};
 use mosc_linalg::{Lu, Matrix, SymmetricEigen, Vector};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Modal steady-state lookups served from the memo
 /// ([`ThermalModel::modal_steady_state`]) instead of a fresh LU solve.
 static T_INF_CACHE_HITS: mosc_obs::Counter = mosc_obs::Counter::new("steady_state.cache_hits");
-
-/// Propagator-cache capacity. Bisection-style callers generate unbounded
-/// distinct `dt` values; past this size the least-recently-used half is
-/// evicted so the handful of hot schedule-interval lengths survive.
-const PROPAGATOR_CACHE_CAP: usize = 8192;
 
 /// Modal steady-state memo capacity: profiles are combinations of the
 /// discrete voltage levels, so in practice this is never reached.
@@ -34,10 +28,12 @@ const T_INF_CACHE_CAP: usize = 4096;
 /// with [`ThermalError::Unstable`] if `β` is large enough to break it
 /// (thermal runaway).
 ///
-/// The eigendecomposition is computed once; every interval propagator
-/// `Φ(l) = e^{A·l}` afterwards costs two dense multiplications, and repeated
-/// lengths hit an internal cache (keyed by the bit pattern of `l`), which is
-/// what keeps Algorithm 2's m-sweep and the Fig. 3 phase sweeps fast.
+/// The eigendecomposition is computed once. Every interval step
+/// `T ↦ e^{A·l}(T − T∞) + T∞` then runs in its eigenbasis: one basis change
+/// in, an elementwise decay `e^{−λ·l}`, one basis change out
+/// ([`ThermalModel::advance`]), with `T∞` memoized per power profile. No
+/// propagator is cached; the dense [`ThermalModel::propagator`] is kept as
+/// the reference the modal step is tested against.
 #[derive(Debug)]
 pub struct ThermalModel {
     network: RcNetwork,
@@ -52,12 +48,6 @@ pub struct ThermalModel {
     c_inv_sqrt: Vec<f64>,
     /// Response matrix: `T∞(cores) = R · ψ(cores)`, precomputed lazily.
     response: Mutex<Option<Arc<Matrix>>>,
-    /// Propagator cache keyed by interval-length bit pattern; the `u64`
-    /// value is a last-access stamp driven by `prop_tick` (recency-based
-    /// eviction, see [`PROPAGATOR_CACHE_CAP`]).
-    propagators: Mutex<HashMap<u64, (Arc<Matrix>, u64)>>,
-    /// Monotone access counter backing the propagator cache's recency stamps.
-    prop_tick: AtomicU64,
     /// Modal steady states memoized by the power profile's bit pattern.
     modal_t_inf: Mutex<HashMap<Vec<u64>, Arc<Vector>>>,
 }
@@ -124,8 +114,6 @@ impl ThermalModel {
             c_sqrt,
             c_inv_sqrt,
             response: Mutex::new(None),
-            propagators: Mutex::new(HashMap::new()),
-            prop_tick: AtomicU64::new(0),
             modal_t_inf: Mutex::new(HashMap::new()),
         })
     }
@@ -255,62 +243,24 @@ impl ThermalModel {
         Ok(arc)
     }
 
-    /// The interval propagator `Φ(dt) = e^{A·dt}`, computed through the
-    /// cached eigendecomposition (`e^{A·t} = C^{-1/2}·V·e^{−Λt}·Vᵀ·C^{1/2}`)
-    /// and memoized per distinct `dt`.
+    /// The dense interval propagator `Φ(dt) = e^{A·dt}`, built through the
+    /// eigendecomposition (`e^{A·t} = C^{-1/2}·V·e^{−Λt}·Vᵀ·C^{1/2}`) on every
+    /// call — an `O(N³)` product. The solvers never need it:
+    /// [`ThermalModel::advance`] applies the same map in the eigenbasis. It
+    /// is the reference for that step and for `mosc-sched`'s dense oracle.
     ///
     /// # Errors
     /// Returns [`ThermalError::InvalidParameter`] for negative or non-finite
     /// `dt`.
-    pub fn propagator(&self, dt: f64) -> Result<Arc<Matrix>> {
-        if !dt.is_finite() || dt < 0.0 {
-            return Err(ThermalError::InvalidParameter { what: "dt must be finite and >= 0" });
-        }
-        let key = dt.to_bits();
-        {
-            let mut cache = self.propagators.lock().expect("propagator lock poisoned");
-            if let Some((phi, stamp)) = cache.get_mut(&key) {
-                *stamp = self.prop_tick.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(phi));
-            }
-            // Bound the cache without wiping it: dropping everything would
-            // also evict the hot schedule-interval lengths mid-solve
-            // whenever a bisection caller floods it with one-shot values.
-            // Evicting the least-recently-used half keeps recent keys live.
-            if cache.len() >= PROPAGATOR_CACHE_CAP {
-                let mut stamps: Vec<u64> = cache.values().map(|(_, s)| *s).collect();
-                stamps.sort_unstable();
-                let cutoff = stamps[stamps.len() / 2];
-                cache.retain(|_, (_, s)| *s > cutoff);
-            }
-        }
+    pub fn propagator(&self, dt: f64) -> Result<Matrix> {
+        let decay = self.modal_decay(dt)?;
         let n = self.n_nodes();
         mosc_linalg::count_expm_call();
         let v = &self.eigen.vectors;
         // M = V · diag(e^{-λ·dt}) · Vᵀ, then Φ = C^{-1/2} M C^{1/2}.
-        let mut scaled = Matrix::zeros(n, n);
-        for k in 0..n {
-            let e = (-self.eigen.values[k] * dt).exp();
-            for i in 0..n {
-                scaled[(i, k)] = v[(i, k)] * e;
-            }
-        }
+        let scaled = Matrix::from_fn(n, n, |i, k| v[(i, k)] * decay[k]);
         let m = scaled.matmul(&v.transpose())?;
-        let phi = Matrix::from_fn(n, n, |i, j| self.c_inv_sqrt[i] * m[(i, j)] * self.c_sqrt[j]);
-        let arc = Arc::new(phi);
-        let stamp = self.prop_tick.fetch_add(1, Ordering::Relaxed);
-        self.propagators
-            .lock()
-            .expect("propagator lock poisoned")
-            .insert(key, (Arc::clone(&arc), stamp));
-        Ok(arc)
-    }
-
-    /// `true` when the propagator for exactly this `dt` is currently cached
-    /// (diagnostics; used by the cache-eviction regression tests).
-    #[must_use]
-    pub fn propagator_cached(&self, dt: f64) -> bool {
-        self.propagators.lock().expect("propagator lock poisoned").contains_key(&dt.to_bits())
+        Ok(Matrix::from_fn(n, n, |i, j| self.c_inv_sqrt[i] * m[(i, j)] * self.c_sqrt[j]))
     }
 
     /// Modal decay factors over an interval of length `dt`: the diagonal of
@@ -448,11 +398,16 @@ impl ThermalModel {
     }
 
     /// Advances the temperature across one state interval (eq. 3):
-    /// `T(t₀+dt) = Φ(dt)·(T(t₀) − T∞) + T∞` with `T∞` the steady state of
-    /// this interval's power profile.
+    /// `T(t₀+dt) = e^{A·dt}·(T(t₀) − T∞) + T∞` with `T∞` the steady state of
+    /// this interval's power profile. The step runs in modal coordinates,
+    /// `y = d(dt) ∘ (y₀ − y∞) + y∞` with `d(dt) = e^{−λ·dt}` and `y∞` from
+    /// [`ThermalModel::modal_steady_state`]: two basis changes and no dense
+    /// propagator. Each call counts one `expm.calls`, as it applies one
+    /// `e^{A·dt}`.
     ///
     /// # Errors
-    /// Dimension mismatches or invalid `dt`.
+    /// Dimension mismatches, or [`ThermalError::InvalidParameter`] for
+    /// negative or non-finite `dt`.
     pub fn advance(&self, t0: &Vector, psi_cores: &[f64], dt: f64) -> Result<Vector> {
         if t0.len() != self.n_nodes() {
             return Err(ThermalError::DimensionMismatch {
@@ -461,11 +416,11 @@ impl ThermalModel {
                 op: "advance",
             });
         }
-        let t_inf = self.steady_state(psi_cores)?;
-        let phi = self.propagator(dt)?;
-        let diff = t0 - &t_inf;
-        let propagated = phi.matvec(&diff)?;
-        Ok(&propagated + &t_inf)
+        let decay = self.modal_decay(dt)?;
+        let y_inf = self.modal_steady_state(psi_cores)?;
+        mosc_linalg::count_expm_call();
+        let y0 = self.to_modal(t0)?;
+        self.from_modal(&Vector::from_fn(y0.len(), |k| decay[k] * (y0[k] - y_inf[k]) + y_inf[k]))
     }
 
     /// Largest core temperature in a full node vector.
@@ -475,12 +430,6 @@ impl ThermalModel {
     #[must_use]
     pub fn max_core_temp(&self, t: &Vector) -> f64 {
         (0..self.n_cores()).fold(f64::NEG_INFINITY, |m, i| m.max(t[i]))
-    }
-
-    /// Number of distinct propagators currently cached (diagnostics).
-    #[must_use]
-    pub fn cached_propagators(&self) -> usize {
-        self.propagators.lock().expect("propagator lock poisoned").len()
     }
 }
 
@@ -570,53 +519,6 @@ mod tests {
                 via_eigen.max_abs_diff(&via_pade)
             );
         }
-    }
-
-    #[test]
-    fn propagator_cache_hits() {
-        let m = model(1, 2, 0.03);
-        let _ = m.propagator(0.5).unwrap();
-        let _ = m.propagator(0.5).unwrap();
-        let _ = m.propagator(0.25).unwrap();
-        assert_eq!(m.cached_propagators(), 2);
-    }
-
-    #[test]
-    fn propagator_cache_keeps_hot_keys_on_overflow() {
-        // Regression: the cache used to clear *everything* when full, so a
-        // bisection caller flooding it with one-shot dt values evicted the
-        // hot schedule-interval propagators mid-solve. Recency eviction must
-        // keep recently-touched keys alive across an overflow.
-        let m = model(1, 2, 0.03);
-        let hot = [0.125, 0.25, 0.5];
-        for &dt in &hot {
-            let _ = m.propagator(dt).unwrap();
-        }
-        // Flood the cache to capacity with cold one-shot entries (seeded
-        // directly so the test does not pay for thousands of expm builds —
-        // the eviction logic only looks at keys and stamps).
-        let dummy = m.propagator(1.0).unwrap();
-        {
-            let mut cache = m.propagators.lock().unwrap();
-            let mut i = 0u64;
-            while cache.len() < PROPAGATOR_CACHE_CAP {
-                i += 1;
-                let stamp = m.prop_tick.fetch_add(1, Ordering::Relaxed);
-                cache.insert((1e-7 * i as f64).to_bits(), (Arc::clone(&dummy), stamp));
-            }
-        }
-        // The schedule evaluator keeps touching its interval lengths…
-        for &dt in &hot {
-            let _ = m.propagator(dt).unwrap();
-        }
-        // …then the next insert overflows the cache and must evict only the
-        // least-recently-used half.
-        let _ = m.propagator(2.0).unwrap();
-        assert!(m.cached_propagators() <= PROPAGATOR_CACHE_CAP / 2 + 1, "eviction must shrink");
-        for &dt in &hot {
-            assert!(m.propagator_cached(dt), "hot propagator dt={dt} was evicted");
-        }
-        assert!(m.propagator_cached(2.0), "fresh insert must be cached");
     }
 
     #[test]

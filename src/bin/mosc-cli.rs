@@ -324,8 +324,8 @@ fn profile(args: &Args, mode: ObsMode) -> Result<ExitCode, CliError> {
     let json = mode == ObsMode::Json;
     mosc::obs::enable();
 
-    // A short governor horizon: the propagator cache makes the per-step cost
-    // trivial, but the default 300 s horizon is still 60k steps.
+    // A short governor horizon: each modal step is cheap, but the default
+    // 300 s horizon is still 60k steps.
     let opts = SolveOptions {
         governor: mosc::algorithms::reactive::GovernorOptions {
             control_period: 0.01,
