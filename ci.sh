@@ -198,6 +198,15 @@ awk '
 printf '%s\n' '{"id":"bye","op":"shutdown"}' \
     | ./target/release/mosc-cli client --addr "$obs_addr" >/dev/null
 wait "$obs_pid" || { echo "observability smoke: daemon exited non-zero" >&2; cat "$obs_log" >&2; exit 1; }
+# Exactly one access line per request line sent (100 solves, stats,
+# metrics, shutdown) and one drain summary: an append that drops or
+# doubles lines fails here.
+obs_access=$(grep -c '"type":"access"' "$access_log")
+test "$obs_access" -eq 103 \
+    || { echo "observability smoke: $obs_access access lines, expected 103" >&2; exit 1; }
+obs_summary=$(grep -c '"type":"serve_summary"' "$access_log")
+test "$obs_summary" -eq 1 \
+    || { echo "observability smoke: $obs_summary serve_summary lines, expected 1" >&2; exit 1; }
 # The slow-request entry for the governor solve carries its span tree and a
 # nonzero expm.calls delta (one per modal `advance` step).
 grep '"id":"qgov"' "$access_log" | grep -q '"spans":.*reactive.simulate' \

@@ -33,8 +33,7 @@ pub const DEFAULT_PERIOD: f64 = 0.1;
 /// Propagates evaluation failures; returns [`crate::AlgoError::Infeasible`]
 /// when not even the all-lowest assignment is safe.
 pub fn solve(platform: &Platform) -> Result<Solution> {
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    solve_inner(platform, threads, None).map(|(s, _)| s)
+    solve_inner(platform, crate::thread_count(0), None).map(|(s, _)| s)
 }
 
 /// The EXS engine behind both [`solve`] and the

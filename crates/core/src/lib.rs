@@ -49,10 +49,9 @@ pub mod solve;
 
 pub use ao::AoOptions;
 pub use mosc_sched::{Platform, PlatformSpec, Schedule, ACCEPT_EPS, FEASIBILITY_EPS};
-pub use registry::PlatformRegistry;
 pub use solve::{
-    solve, solve_batch, BatchVariant, KernelDelta, SolveOptions, SolveReport, SolverKind,
-    SolverStats, UnknownSolverError,
+    solve, solve_batch, thread_count, BatchVariant, KernelDelta, SolveOptions, SolveReport,
+    SolverKind, SolverStats, UnknownSolverError,
 };
 
 /// Outcome of a scheduling algorithm: the schedule it constructed and the

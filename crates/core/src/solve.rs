@@ -367,12 +367,8 @@ pub fn solve(kind: SolverKind, platform: &Platform, opts: &SolveOptions) -> Resu
     let (solution, stats) = match kind {
         SolverKind::Lns => (lns::solve(platform)?, SolverStats::default()),
         SolverKind::Exs => {
-            let threads = if opts.threads == 0 {
-                std::thread::available_parallelism().map_or(1, usize::from)
-            } else {
-                opts.threads
-            };
-            let (solution, evaluated) = exs::solve_inner(platform, threads, deadline_at)?;
+            let (solution, evaluated) =
+                exs::solve_inner(platform, thread_count(opts.threads), deadline_at)?;
             (solution, SolverStats { explored: evaluated, ..SolverStats::default() })
         }
         SolverKind::ExsBnb => {
@@ -397,6 +393,18 @@ pub fn solve(kind: SolverKind, platform: &Platform, opts: &SolveOptions) -> Resu
     let wall = start.elapsed();
     let kernel = KernelDelta::read().since(&kernel_before);
     Ok(SolveReport { solution, stats, wall, kernel })
+}
+
+/// The thread count a `threads`-style knob asks for: `0` means every
+/// available core (`std::thread::available_parallelism`, 1 when unknown),
+/// any other value is taken as is.
+#[must_use]
+pub fn thread_count(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism().map_or(1, usize::from)
+    } else {
+        requested
+    }
 }
 
 /// One variant of a batched solve: a solver kind and its option set, run
@@ -426,13 +434,7 @@ pub fn solve_batch(
     variants: &[BatchVariant],
     threads: usize,
 ) -> Vec<Result<SolveReport>> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        threads
-    }
-    .min(variants.len())
-    .max(1);
+    let threads = thread_count(threads).min(variants.len()).max(1);
     if threads <= 1 {
         return variants.iter().map(|v| solve(v.kind, platform, &v.options)).collect();
     }

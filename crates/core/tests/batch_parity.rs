@@ -77,12 +77,13 @@ fn registry_warm_and_cold_paths_agree() {
     // independent from-scratch build. The builds are deterministic, so the
     // 1e-10 agreement the serve layer relies on is really bit-identity —
     // asserted at the documented tolerance.
-    let mut reg = registry::PlatformRegistry::new(4);
+    // A preimage unique to this test, so no other test can warm it first.
+    let preimage = "batch-parity-registry-warm-cold-unique";
     let spec = PlatformSpec::paper(1, 2, 2, 55.0);
     let build = || Platform::build(&spec);
-    let (cold, warm_first) = reg.get_or_build("parity-spec", build).unwrap();
+    let (cold, warm_first) = registry::intern_with(preimage, build).unwrap();
     assert!(!warm_first);
-    let (warm, warm_second) = reg.get_or_build("parity-spec", build).unwrap();
+    let (warm, warm_second) = registry::intern_with(preimage, build).unwrap();
     assert!(warm_second);
     assert!(Arc::ptr_eq(&cold, &warm), "warm lookup must return the interned instance");
 

@@ -1,4 +1,4 @@
-//! The LRU solution cache and its canonical key.
+//! The solution cache and its canonical key.
 //!
 //! The paper's schedules are pure functions of the platform spec and the
 //! solver options (Algorithm 2 recomputes everything from `Platform`), so a
@@ -9,44 +9,28 @@
 //! entry. The request deadline is excluded from the key: only successful
 //! solves are cached, and a success is the same solution under any deadline.
 //!
-//! Two properties fixed in PR 8:
-//!
-//! * **Collision safety.** A 64-bit hash is not an identity: the cache used
-//!   to index on the bare hash, so two requests colliding on it would
-//!   silently trade solutions. [`CacheKey`] now carries the canonical
-//!   preimage alongside the hash, and [`LruCache::get`] verifies it on
-//!   every hit — a collision degrades to a miss (and the later insert
-//!   overwrites the slot), never to a wrong answer.
-//! * **Cheap hits.** Entries are stored as `Arc<CachedSolve>`; a hit clones
-//!   the `Arc`, not the value, so hit cost no longer scales with
-//!   `schedule_text` size.
+//! The cache is the same table as the platform registry,
+//! [`mosc_core::registry::VerifiedLru`], holding [`CachedSolve`]s: every
+//! hit is verified against the stored preimage, so a hash collision
+//! degrades to a miss (and the later insert overwrites the slot), never to
+//! a wrong answer; and entries are shared `Arc`s, so hit cost does not
+//! scale with `schedule_text` size.
 
 use crate::proto::{canonical_json, options_to_json, SolveRequest};
+use mosc_core::registry::{ContentKey, VerifiedLru};
 use mosc_core::{SolveOptions, SolverKind, SolverStats};
-use std::collections::HashMap;
-use std::sync::Arc;
 
-/// 64-bit FNV-1a over raw bytes.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use mosc_core::registry::fnv1a;
 
-/// A canonical cache key: the 64-bit FNV-1a hash used for indexing (and
-/// for the access log's `key` field), plus the preimage it was derived
-/// from so hits can be verified instead of trusted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheKey {
-    /// FNV-1a hash of [`preimage`](Self::preimage).
-    pub hash: u64,
-    /// The canonical `platform \0 kind \0 options` serialization.
-    pub preimage: String,
-}
+/// A canonical solution-cache key: the 64-bit FNV-1a hash used for indexing
+/// (and for the access log's `key` field), plus the canonical
+/// `platform \0 kind \0 options` preimage it was derived from, so hits are
+/// verified instead of trusted.
+pub type CacheKey = ContentKey;
+
+/// The LRU solution cache: the verified content table holding
+/// [`CachedSolve`]s (capacity 0 disables caching).
+pub type LruCache = VerifiedLru<CachedSolve>;
 
 /// The cache key of a solve request: platform + solver kind + options, with
 /// the deadline masked out (see the module docs).
@@ -70,7 +54,7 @@ pub fn cache_key_parts(
     preimage.push_str(kind.id());
     preimage.push('\0');
     preimage.push_str(&options_to_json(&keyed_options));
-    CacheKey { hash: fnv1a(preimage.as_bytes()), preimage }
+    CacheKey::new(preimage)
 }
 
 /// A cached solve outcome: everything needed to render an `ok` response for
@@ -96,164 +80,10 @@ pub struct CachedSolve {
     pub schedule_text: String,
 }
 
-/// A fixed-capacity least-recently-used cache. Lookups and inserts are
-/// `O(1)`; eviction scans for the oldest stamp, which is `O(capacity)` —
-/// fine at service cache sizes (hundreds), and it keeps the structure a
-/// plain `HashMap` instead of a hand-rolled intrusive list.
-#[derive(Debug)]
-pub struct LruCache {
-    capacity: usize,
-    clock: u64,
-    entries: HashMap<u64, (u64, String, Arc<CachedSolve>)>,
-}
-
-impl LruCache {
-    /// An empty cache holding at most `capacity` entries (0 disables
-    /// caching entirely).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self { capacity, clock: 0, entries: HashMap::new() }
-    }
-
-    /// Looks up `key`, refreshing its recency on a verified hit. The stored
-    /// preimage must match the key's — a hash collision answers `None`
-    /// (solve it again) instead of someone else's solution.
-    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<CachedSolve>> {
-        self.clock += 1;
-        let clock = self.clock;
-        match self.entries.get_mut(&key.hash) {
-            Some((stamp, preimage, v)) if *preimage == key.preimage => {
-                *stamp = clock;
-                Some(Arc::clone(v))
-            }
-            _ => None,
-        }
-    }
-
-    /// Inserts (or refreshes) `key`, evicting the least-recently-used entry
-    /// when at capacity. A colliding resident entry (same hash, different
-    /// preimage) is overwritten — latest writer wins, and [`get`](Self::get)
-    /// verification keeps either outcome correct. Returns `true` when a
-    /// capacity eviction happened.
-    pub fn insert(&mut self, key: &CacheKey, value: CachedSolve) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        self.clock += 1;
-        let mut evicted = false;
-        if !self.entries.contains_key(&key.hash) && self.entries.len() >= self.capacity {
-            if let Some(&oldest) =
-                self.entries.iter().min_by_key(|(_, (stamp, _, _))| *stamp).map(|(k, _)| k)
-            {
-                self.entries.remove(&oldest);
-                evicted = true;
-            }
-        }
-        self.entries.insert(key.hash, (self.clock, key.preimage.clone(), Arc::new(value)));
-        evicted
-    }
-
-    /// Current entry count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when the cache holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mosc_analyze::json::Value;
-
-    fn dummy(throughput: f64) -> CachedSolve {
-        CachedSolve {
-            solver: SolverKind::Ao,
-            throughput,
-            peak_c: 50.0,
-            feasible: true,
-            m: 1,
-            wall_ms: 1.0,
-            stats: SolverStats::default(),
-            schedule_text: String::new(),
-        }
-    }
-
-    /// A key whose hash is forced to `hash` regardless of the preimage —
-    /// the collision regression tests depend on constructing two distinct
-    /// preimages that index the same slot.
-    fn forced(hash: u64, preimage: &str) -> CacheKey {
-        CacheKey { hash, preimage: preimage.to_owned() }
-    }
-
-    fn key(n: u64) -> CacheKey {
-        forced(n, &format!("preimage-{n}"))
-    }
-
-    #[test]
-    fn lru_evicts_the_oldest_untouched_entry() {
-        let mut c = LruCache::new(2);
-        assert!(!c.insert(&key(1), dummy(1.0)));
-        assert!(!c.insert(&key(2), dummy(2.0)));
-        // Touch 1, so 2 is now the LRU entry.
-        assert!(c.get(&key(1)).is_some());
-        assert!(c.insert(&key(3), dummy(3.0)));
-        assert_eq!(c.len(), 2);
-        assert!(c.get(&key(2)).is_none(), "LRU entry should have been evicted");
-        assert!(c.get(&key(1)).is_some());
-        assert!(c.get(&key(3)).is_some());
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let mut c = LruCache::new(0);
-        assert!(!c.insert(&key(1), dummy(1.0)));
-        assert!(c.is_empty());
-        assert!(c.get(&key(1)).is_none());
-    }
-
-    #[test]
-    fn reinserting_a_key_does_not_evict() {
-        let mut c = LruCache::new(1);
-        assert!(!c.insert(&key(7), dummy(1.0)));
-        assert!(!c.insert(&key(7), dummy(2.0)), "refresh is not an eviction");
-        assert!((c.get(&key(7)).unwrap().throughput - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn colliding_keys_never_alias() {
-        // Regression: two entries forced onto the same 64-bit slot. Before
-        // the preimage check, the second request would have been answered
-        // with the first request's solution.
-        let mut c = LruCache::new(4);
-        let a = forced(0xdead_beef, "platform-a\0ao\0{}");
-        let b = forced(0xdead_beef, "platform-b\0ao\0{}");
-        assert!(!c.insert(&a, dummy(1.0)));
-        assert!(c.get(&b).is_none(), "collision must miss, not serve a's solution");
-        let hit = c.get(&a).expect("a still resolves");
-        assert!((hit.throughput - 1.0).abs() < 1e-12);
-        // The colliding insert overwrites the slot; verification now
-        // protects a instead.
-        assert!(!c.insert(&b, dummy(2.0)));
-        assert!(c.get(&a).is_none());
-        assert!((c.get(&b).unwrap().throughput - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hits_share_one_allocation() {
-        // The Arc rework: repeated hits must hand out the same allocation,
-        // not clones of the value.
-        let mut c = LruCache::new(2);
-        c.insert(&key(5), dummy(5.0));
-        let first = c.get(&key(5)).unwrap();
-        let second = c.get(&key(5)).unwrap();
-        assert!(Arc::ptr_eq(&first, &second), "hits must share the cached allocation");
-    }
 
     #[test]
     fn cache_key_is_member_order_independent_but_value_sensitive() {

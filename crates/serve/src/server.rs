@@ -50,8 +50,10 @@ use crate::proto::{
 };
 use crate::queue::{BoundedQueue, QueueFull};
 use mosc_analyze::json::Value;
-use mosc_core::{BatchVariant, KernelDelta, SolveOptions, SolverKind};
-use mosc_obs::{bucket_upper, FlightKind, FlightRecorder, SpanCapture, SpanStats, LOG_BUCKETS};
+use mosc_core::{BatchVariant, KernelDelta, Platform, SolveOptions, SolveReport, SolverKind};
+use mosc_obs::{
+    bucket_upper, FlightKind, FlightRecorder, SpanCapture, SpanStats, TimelineWindow, LOG_BUCKETS,
+};
 use std::fs::File;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -379,11 +381,7 @@ impl Shared {
 
     /// The configured worker-pool size (`0` = all available cores).
     fn worker_count(&self) -> usize {
-        if self.opts.workers == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            self.opts.workers
-        }
+        mosc_core::thread_count(self.opts.workers)
     }
 
     /// Flags shutdown and wakes the accept loop with a throwaway
@@ -540,36 +538,8 @@ fn worker_loop(shared: &Shared) {
 /// for the solve or the whole batch, recorded like any other completion and
 /// never cached.
 fn answer_panic(shared: &Shared, job: &Job, t_dequeue: Instant) -> Reply {
-    let (id, op, solver, key, batch) = match &job.payload {
-        Payload::Single(req, key) => {
-            (req.id.as_str(), "solve", Some(req.kind), Some(key.hash), None)
-        }
-        Payload::Batch(req, _) => {
-            (req.id.as_str(), "solve_batch", None, None, Some(req.id.as_str()))
-        }
-    };
-    let c = Completion {
-        id,
-        op,
-        solver,
-        status: "error",
-        cached: false,
-        conn: job.conn,
-        seq: job.seq,
-        key,
-        t_recv: job.t_recv,
-        t_enqueue: job.t_enqueue,
-        queue_wait: t_dequeue.saturating_duration_since(job.t_enqueue).as_secs_f64(),
-        service_start: t_dequeue,
-        deadline_at: job.deadline_at,
-        kernel: KernelDelta::default(),
-        spans: None,
-        batch,
-        ids: job.trace,
-    };
-    let stamped = record_completion(shared, &c, Instant::now());
-    let line = error_to_json(id, ErrorKind::Internal.id(), "the solver panicked");
-    respond(shared, id, &line, stamped)
+    let c = Completion::of_job(job, "error", Some(t_dequeue));
+    finish(shared, &error_to_json(c.id, ErrorKind::Internal.id(), "the solver panicked"), &c)
 }
 
 /// Everything [`finish`] needs to close out one request: identity, timing
@@ -638,6 +608,45 @@ impl<'a> Completion<'a> {
             ids: TraceIds::continue_from(None),
         }
     }
+
+    /// A solve or `solve_batch` line's completion, identified by its
+    /// payload. `t_dequeue` is when a worker popped the job; `None` marks a
+    /// line the I/O thread answered itself (a cache hit or `overloaded`),
+    /// which never queued, so its enqueue and dequeue anchors collapse onto
+    /// `t_recv` and the logged pipeline order stays monotone.
+    fn of_job(job: &'a Job, status: &'a str, t_dequeue: Option<Instant>) -> Self {
+        let (id, op, solver, key, batch) = match &job.payload {
+            Payload::Single(req, key) => {
+                (req.id.as_str(), "solve", Some(req.kind), Some(key.hash), None)
+            }
+            Payload::Batch(req, _) => {
+                (req.id.as_str(), "solve_batch", None, None, Some(req.id.as_str()))
+            }
+        };
+        let (t_enqueue, service_start) = match t_dequeue {
+            Some(t_dequeue) => (job.t_enqueue, t_dequeue),
+            None => (job.t_recv, job.t_recv),
+        };
+        Self {
+            id,
+            op,
+            solver,
+            status,
+            cached: false,
+            conn: job.conn,
+            seq: job.seq,
+            key,
+            t_recv: job.t_recv,
+            t_enqueue,
+            queue_wait: service_start.saturating_duration_since(t_enqueue).as_secs_f64(),
+            service_start,
+            deadline_at: job.deadline_at,
+            kernel: KernelDelta::default(),
+            spans: None,
+            batch,
+            ids: job.trace,
+        }
+    }
 }
 
 /// Proof that [`record_completion`] ran for a request. The response
@@ -660,7 +669,9 @@ struct Stamped(());
 /// millisecond solves.
 fn finish(shared: &Shared, line: &str, c: &Completion<'_>) -> Reply {
     let stamped = record_completion(shared, c, Instant::now());
-    if c.solver.is_some() {
+    // Solve and batch lines were announced by a `serve.request` event;
+    // protocol ops and parse errors were not.
+    if c.solver.is_some() || c.batch.is_some() {
         respond(shared, c.id, line, stamped)
     } else {
         respond_proto(shared, line, stamped)
@@ -699,21 +710,32 @@ fn record_timeline(shared: &Shared, total_s: f64, cached: bool) {
     let Some((timeline, file)) = &shared.timeline else { return };
     timeline.record(total_s, cached);
     timeline.note_depth(shared.queue.len() as u64);
-    let closed = timeline.drain_closed();
-    if !closed.is_empty() {
-        let mut file = file.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = file.write_all(mosc_obs::Timeline::render_jsonl(&closed).as_bytes());
-    }
+    append_windows(file, &timeline.drain_closed());
 }
 
 /// Flushes the in-progress timeline window at drain.
 fn write_timeline_trailer(shared: &Shared) {
     let Some((timeline, file)) = &shared.timeline else { return };
-    let remaining = timeline.finish();
-    if !remaining.is_empty() {
-        let mut file = file.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = file.write_all(mosc_obs::Timeline::render_jsonl(&remaining).as_bytes());
+    append_windows(file, &timeline.finish());
+}
+
+/// Appends timeline windows as `{"type":"timeline"}` lines, all in one
+/// append.
+fn append_windows(file: &Mutex<File>, windows: &[TimelineWindow]) {
+    if !windows.is_empty() {
+        let lines: Vec<String> = windows.iter().map(TimelineWindow::to_json_line).collect();
+        append_line(file, lines.join("\n"));
     }
+}
+
+/// Appends `line` plus its newline to a JSONL sink in one `write_all` —
+/// one `write(2)` per line, where `writeln!` on an unbuffered `File` makes
+/// two — under the file's mutex, so concurrent writers never interleave.
+/// Write errors (disk full, a log on a vanished mount) are dropped: they
+/// must not take the request path down with them.
+fn append_line(file: &Mutex<File>, mut line: String) {
+    line.push('\n');
+    let _ = file.lock().unwrap_or_else(PoisonError::into_inner).write_all(line.as_bytes());
 }
 
 /// Lands one milestone in the flight ring (no-op without `--flight-dump`).
@@ -758,9 +780,7 @@ fn flight_dump(shared: &Shared, reason: &str) {
         ("torn".to_owned(), num(snap.torn as f64)),
         ("entries".to_owned(), Value::Array(entries)),
     ]);
-    let line = value_to_json(&doc);
-    let mut file = file.lock().unwrap_or_else(PoisonError::into_inner);
-    let _ = writeln!(file, "{line}");
+    append_line(file, value_to_json(&doc));
 }
 
 /// Most spans one access-log line may carry; anything beyond is dropped
@@ -845,7 +865,7 @@ fn log_access(shared: &Shared, c: &Completion<'_>, done: Instant, service: f64, 
             }
         }
     }
-    write_access_line(access, &Value::Object(members));
+    append_line(access, value_to_json(&Value::Object(members)));
 }
 
 /// Seconds since server start on the one monotone clock every lifecycle
@@ -861,14 +881,6 @@ fn signed_slack(at: Instant, now: Instant) -> f64 {
         Some(left) => left.as_secs_f64(),
         None => -now.saturating_duration_since(at).as_secs_f64(),
     }
-}
-
-/// One serialized line into the access log. Write errors (disk full, log
-/// on a vanished mount) must not take the request path down with them.
-fn write_access_line(access: &Mutex<File>, doc: &Value) {
-    let line = value_to_json(doc);
-    let mut file = access.lock().unwrap_or_else(PoisonError::into_inner);
-    let _ = writeln!(file, "{line}");
 }
 
 /// Drain-time access-log trailer: one `hist_snapshot` line per non-empty
@@ -919,7 +931,7 @@ fn write_access_trailer(shared: &Shared) {
                 .collect();
             doc.push(("exemplars".to_owned(), Value::Array(list)));
         }
-        write_access_line(access, &Value::Object(doc));
+        append_line(access, value_to_json(&Value::Object(doc)));
     }
     let s = shared.stats();
     let doc = Value::Object(vec![
@@ -935,7 +947,7 @@ fn write_access_trailer(shared: &Shared) {
         ("queue_peak".to_owned(), num(s.queue_peak as f64)),
         ("uptime_s".to_owned(), num(s.uptime_s)),
     ]);
-    write_access_line(access, &doc);
+    append_line(access, value_to_json(&doc));
 }
 
 fn process_job(
@@ -946,26 +958,7 @@ fn process_job(
     t_dequeue: Instant,
 ) -> Reply {
     let id = &req.id;
-    let queue_wait = t_dequeue.saturating_duration_since(job.t_enqueue).as_secs_f64();
-    let base = Completion {
-        id,
-        op: "solve",
-        solver: Some(req.kind),
-        status: "ok",
-        cached: false,
-        conn: job.conn,
-        seq: job.seq,
-        key: Some(key.hash),
-        t_recv: job.t_recv,
-        t_enqueue: job.t_enqueue,
-        queue_wait,
-        service_start: t_dequeue,
-        deadline_at: job.deadline_at,
-        kernel: KernelDelta::default(),
-        spans: None,
-        batch: None,
-        ids: job.trace,
-    };
+    let base = Completion::of_job(job, "ok", Some(t_dequeue));
     // Deadline may already have burned off while queued.
     let remaining = match job.deadline_at {
         None => None,
@@ -986,7 +979,7 @@ fn process_job(
     // A duplicate may have filled the cache while this job waited.
     if let Some(hit) = shared.lock_cache().get(key) {
         shared.metrics.on_cache_hit();
-        let line = render_ok(req, &hit, true);
+        let line = render_solved(id, req.want_schedule, &hit, true);
         return finish(shared, &line, &Completion { cached: true, ..base });
     }
     shared.metrics.on_cache_miss();
@@ -1008,73 +1001,84 @@ fn process_job(
     // the report's `KernelDelta`, which also sees EXS's partition threads.
     let capture = SpanCapture::new();
     let result = capture.observe(|| mosc_core::solve(req.kind, &platform, &opts));
+    let spans = Some(capture.snapshot());
+    // The deadline must hold when the response is written, not just at
+    // dequeue: the polynomial solvers run to completion by contract, so a
+    // slow solve can sail past it. Answer the deadline error the client
+    // asked for, and do NOT cache the late result — a cache fill logged as
+    // an error would leave later hits' keys unannounced for the M082 lint.
+    if let (Ok(report), Some(at)) = (&result, job.deadline_at) {
+        let now = Instant::now();
+        if now > at {
+            shared.metrics.on_deadline_exceeded();
+            let late_us = now.saturating_duration_since(at).as_micros() as u64;
+            flight_record(shared, FlightKind::Deadline, job.trace, late_us);
+            flight_dump(shared, "deadline");
+            return finish(
+                shared,
+                &error_to_json(id, "deadline", "deadline expired during solve"),
+                &Completion { status: "error", kernel: report.kernel, spans, ..base },
+            );
+        }
+    }
+    let o = answer_solve(shared, id, req.want_schedule, &platform, key, req.kind, result);
+    finish(shared, &o.line, &Completion { status: o.status, kernel: o.kernel, spans, ..base })
+}
+
+/// One solve's answer: the rendered result line plus what its access-log
+/// entry must say.
+struct Outcome {
+    line: String,
+    status: &'static str,
+    cached: bool,
+    kernel: KernelDelta,
+}
+
+/// Turns a solver result into its answer under `id` — the one step single
+/// and batch solves share. A success becomes a [`CachedSolve`], is rendered,
+/// and fills the cache under `key` (counting a capacity eviction); an error
+/// is classified for the wire, and a solver that ran out of its budget
+/// bumps the deadline counter. Never answers from the cache.
+fn answer_solve(
+    shared: &Shared,
+    id: &str,
+    want_schedule: bool,
+    platform: &Platform,
+    key: &CacheKey,
+    kind: SolverKind,
+    result: mosc_core::Result<SolveReport>,
+) -> Outcome {
     match result {
         Ok(report) => {
-            // The deadline must hold when the response is written, not just
-            // at dequeue: the polynomial solvers run to completion by
-            // contract, so a slow solve can sail past it. Answer the
-            // deadline error the client asked for, and do NOT cache the
-            // late result — a cache fill logged as an error would leave
-            // later hits' keys unannounced for the M082 lint.
-            if job.deadline_at.is_some_and(|at| Instant::now() > at) {
-                shared.metrics.on_deadline_exceeded();
-                let late_us = Instant::now()
-                    .saturating_duration_since(job.deadline_at.unwrap_or_else(Instant::now))
-                    .as_micros() as u64;
-                flight_record(shared, FlightKind::Deadline, job.trace, late_us);
-                flight_dump(shared, "deadline");
-                return finish(
-                    shared,
-                    &error_to_json(id, "deadline", "deadline expired during solve"),
-                    &Completion {
-                        status: "error",
-                        kernel: report.kernel,
-                        spans: Some(capture.snapshot()),
-                        ..base
-                    },
-                );
-            }
-            let cached = CachedSolve {
-                solver: req.kind,
+            let solved = CachedSolve {
+                solver: kind,
                 throughput: report.solution.throughput,
-                peak_c: report.solution.peak_c(&platform),
+                peak_c: report.solution.peak_c(platform),
                 feasible: report.solution.feasible,
                 m: report.solution.m,
                 wall_ms: report.wall.as_secs_f64() * 1e3,
                 stats: report.stats,
                 schedule_text: mosc_sched::text::to_text(&report.solution.schedule),
             };
-            let line = render_ok(req, &cached, false);
-            if shared.lock_cache().insert(key, cached) {
+            let line = render_solved(id, want_schedule, &solved, false);
+            if shared.lock_cache().insert(key, solved) {
                 shared.metrics.on_cache_eviction();
             }
-            finish(
-                shared,
-                &line,
-                &Completion { kernel: report.kernel, spans: Some(capture.snapshot()), ..base },
-            )
+            Outcome { line, status: "ok", cached: false, kernel: report.kernel }
         }
         Err(e) => {
             let kind = ErrorKind::of_algo(&e);
             if kind == ErrorKind::Deadline {
                 shared.metrics.on_deadline_exceeded();
             }
-            finish(
-                shared,
-                &error_to_json(id, kind.id(), &e.to_string()),
-                &Completion { status: "error", spans: Some(capture.snapshot()), ..base },
-            )
+            Outcome {
+                line: error_to_json(id, kind.id(), &e.to_string()),
+                status: "error",
+                cached: false,
+                kernel: KernelDelta::default(),
+            }
         }
     }
-}
-
-/// One variant's outcome inside a batch: the rendered result object plus
-/// what its access-log entry must say.
-struct VariantOutcome {
-    line: String,
-    status: &'static str,
-    cached: bool,
-    kernel: KernelDelta,
 }
 
 /// The worker side of `solve_batch`: resolve the shared platform once
@@ -1089,7 +1093,6 @@ fn process_batch(
     canonical_platform: &str,
     t_dequeue: Instant,
 ) -> Reply {
-    let queue_wait = t_dequeue.saturating_duration_since(job.t_enqueue).as_secs_f64();
     let bid = &req.id;
     // Resolve the platform once. Eigendecomposition work across the resolve
     // is measured so the access log can prove a warm batch did none — the
@@ -1106,16 +1109,11 @@ fn process_batch(
         Err(e) => {
             // Every variant shares the broken platform: one error line for
             // the whole batch, logged under the batch's first seq.
-            let c = Completion {
-                t_enqueue: job.t_enqueue,
-                queue_wait,
-                service_start: t_dequeue,
-                batch: Some(bid),
-                ids: job.trace,
-                ..Completion::proto(bid, "solve_batch", "error", job.t_recv, job.conn, job.seq)
-            };
-            let stamped = record_completion(shared, &c, Instant::now());
-            return respond(shared, bid, &error_to_json(bid, "usage", &e.to_string()), stamped);
+            return finish(
+                shared,
+                &error_to_json(bid, "usage", &e.to_string()),
+                &Completion::of_job(job, "error", Some(t_dequeue)),
+            );
         }
     };
     let ids: Vec<String> = (0..req.variants.len()).map(|i| format!("{bid}#{i}")).collect();
@@ -1124,13 +1122,13 @@ fn process_batch(
         .iter()
         .map(|v| cache_key_parts(canonical_platform, v.kind, &v.options))
         .collect();
-    let mut outcomes: Vec<Option<VariantOutcome>> = Vec::with_capacity(req.variants.len());
+    let mut outcomes: Vec<Option<Outcome>> = Vec::with_capacity(req.variants.len());
     let mut misses: Vec<usize> = Vec::new();
     for (i, v) in req.variants.iter().enumerate() {
         if let Some(hit) = shared.lock_cache().get(&keys[i]) {
             shared.metrics.on_cache_hit();
-            outcomes.push(Some(VariantOutcome {
-                line: render_variant_ok(&ids[i], v.want_schedule, &hit, true),
+            outcomes.push(Some(Outcome {
+                line: render_solved(&ids[i], v.want_schedule, &hit, true),
                 status: "ok",
                 cached: true,
                 kernel: KernelDelta::default(),
@@ -1148,37 +1146,15 @@ fn process_batch(
     let results = mosc_core::solve_batch(&platform, &variants, 0);
     for (&i, result) in misses.iter().zip(results) {
         let v = &req.variants[i];
-        outcomes[i] = Some(match result {
-            Ok(report) => {
-                let cached = CachedSolve {
-                    solver: v.kind,
-                    throughput: report.solution.throughput,
-                    peak_c: report.solution.peak_c(&platform),
-                    feasible: report.solution.feasible,
-                    m: report.solution.m,
-                    wall_ms: report.wall.as_secs_f64() * 1e3,
-                    stats: report.stats,
-                    schedule_text: mosc_sched::text::to_text(&report.solution.schedule),
-                };
-                let line = render_variant_ok(&ids[i], v.want_schedule, &cached, false);
-                if shared.lock_cache().insert(&keys[i], cached) {
-                    shared.metrics.on_cache_eviction();
-                }
-                VariantOutcome { line, status: "ok", cached: false, kernel: report.kernel }
-            }
-            Err(e) => {
-                let kind = ErrorKind::of_algo(&e);
-                if kind == ErrorKind::Deadline {
-                    shared.metrics.on_deadline_exceeded();
-                }
-                VariantOutcome {
-                    line: error_to_json(&ids[i], kind.id(), &e.to_string()),
-                    status: "error",
-                    cached: false,
-                    kernel: KernelDelta::default(),
-                }
-            }
-        });
+        outcomes[i] = Some(answer_solve(
+            shared,
+            &ids[i],
+            v.want_schedule,
+            &platform,
+            &keys[i],
+            v.kind,
+            result,
+        ));
     }
     // Record every variant, then answer once. Registry attribution is
     // deterministic: each variant reports the batch's resolve outcome, and
@@ -1197,23 +1173,15 @@ fn process_batch(
             id: &ids[i],
             op: "solve",
             solver: Some(req.variants[i].kind),
-            status: o.status,
             cached: o.cached,
-            conn: job.conn,
             seq: job.seq + i as u64,
             key: Some(keys[i].hash),
-            t_recv: job.t_recv,
-            t_enqueue: job.t_enqueue,
-            queue_wait,
-            service_start: t_dequeue,
-            deadline_at: None,
             kernel: o.kernel,
-            spans: None,
-            batch: Some(bid),
             // Every variant is a child span of the batch's dispatch span:
             // one shared trace id, one shared parent, a fresh span each —
             // the containment the M122 lint asserts.
             ids: job.trace.child(),
+            ..Completion::of_job(job, o.status, Some(t_dequeue))
         };
         stamped = Some(record_completion(shared, &c, done));
         lines.push(o.line);
@@ -1222,14 +1190,9 @@ fn process_batch(
     respond(shared, bid, &batch_response_to_json(bid, warm, &lines), stamped)
 }
 
-/// Renders an ok response for `req` from a (fresh or cached) solve.
-fn render_ok(req: &SolveRequest, solve: &CachedSolve, cached: bool) -> String {
-    render_variant_ok(&req.id, req.want_schedule, solve, cached)
-}
-
-/// [`render_ok`] with the identity split out: the batch path answers each
-/// variant under a derived id (`"<batch id>#<i>"`).
-fn render_variant_ok(id: &str, want_schedule: bool, solve: &CachedSolve, cached: bool) -> String {
+/// Renders an ok response line under `id` from a (fresh or cached) solve;
+/// batch variants answer under a derived id (`"<batch id>#<i>"`).
+fn render_solved(id: &str, want_schedule: bool, solve: &CachedSolve, cached: bool) -> String {
     SolveResponse {
         id: id.to_owned(),
         solver: solve.solver,
@@ -1358,36 +1321,6 @@ pub(crate) fn handle_line(
                 "serve.request",
                 &[("id", id_hash(&req.id).into()), ("key", (key.hash & 0xFFFF_FFFF).into())],
             );
-            // Fast path: answer cache hits on the I/O thread, without
-            // occupying a queue slot or a worker.
-            if let Some(hit) = shared.lock_cache().get(&key) {
-                shared.metrics.on_cache_hit();
-                let line = render_ok(&req, &hit, true);
-                let reply = finish(
-                    shared,
-                    &line,
-                    &Completion {
-                        id: &req.id,
-                        op: "solve",
-                        solver: Some(req.kind),
-                        status: "ok",
-                        cached: true,
-                        conn,
-                        seq,
-                        key: Some(key.hash),
-                        t_recv,
-                        t_enqueue: t_recv,
-                        queue_wait: 0.0,
-                        service_start: t_recv,
-                        deadline_at: None,
-                        kernel: KernelDelta::default(),
-                        spans: None,
-                        batch: None,
-                        ids,
-                    },
-                );
-                return (1, Some(reply));
-            }
             let deadline_at =
                 req.options.deadline.or(shared.opts.default_deadline).map(|d| Instant::now() + d);
             let job = Job {
@@ -1397,49 +1330,10 @@ pub(crate) fn handle_line(
                 outbox: Arc::clone(outbox),
                 deadline_at,
                 t_recv,
-                t_enqueue: Instant::now(),
+                t_enqueue: t_recv,
                 trace: ids,
             };
-            match shared.queue.try_push(job) {
-                Ok(depth) => {
-                    shared.metrics.on_queue_depth(depth as u64);
-                    flight_record(shared, FlightKind::Enqueue, ids, depth as u64);
-                    (1, None)
-                }
-                Err(QueueFull(job)) => {
-                    shared.metrics.on_rejected();
-                    flight_record(shared, FlightKind::Overload, ids, shared.queue.len() as u64);
-                    flight_dump(shared, "overload");
-                    let Payload::Single(req, key) = &job.payload else { unreachable!() };
-                    let reply = finish(
-                        shared,
-                        &overloaded_to_json(&req.id),
-                        // A rejected job never queued: its enqueue and
-                        // dequeue anchors collapse onto `t_recv` so the
-                        // logged pipeline order stays monotone.
-                        &Completion {
-                            id: &req.id,
-                            op: "solve",
-                            solver: Some(req.kind),
-                            status: "overloaded",
-                            cached: false,
-                            conn,
-                            seq,
-                            key: Some(key.hash),
-                            t_recv,
-                            t_enqueue: t_recv,
-                            queue_wait: 0.0,
-                            service_start: t_recv,
-                            deadline_at: job.deadline_at,
-                            kernel: KernelDelta::default(),
-                            spans: None,
-                            batch: None,
-                            ids,
-                        },
-                    );
-                    (1, Some(reply))
-                }
-            }
+            (1, dispatch(shared, job))
         }
         Request::SolveBatch(req) => {
             shared.metrics.on_request();
@@ -1466,33 +1360,46 @@ pub(crate) fn handle_line(
                 outbox: Arc::clone(outbox),
                 deadline_at: None,
                 t_recv,
-                t_enqueue: Instant::now(),
+                t_enqueue: t_recv,
                 trace: ids,
             };
-            match shared.queue.try_push(job) {
-                Ok(depth) => {
-                    shared.metrics.on_queue_depth(depth as u64);
-                    flight_record(shared, FlightKind::Enqueue, ids, depth as u64);
-                    (consumed, None)
-                }
-                Err(QueueFull(job)) => {
-                    shared.metrics.on_rejected();
-                    flight_record(shared, FlightKind::Overload, ids, shared.queue.len() as u64);
-                    flight_dump(shared, "overload");
-                    let Payload::Batch(req, _) = &job.payload else { unreachable!() };
-                    let c = Completion {
-                        status: "overloaded",
-                        batch: Some(&req.id),
-                        ids,
-                        ..Completion::proto(&req.id, "solve_batch", "overloaded", t_recv, conn, seq)
-                    };
-                    let stamped = record_completion(shared, &c, Instant::now());
-                    (
-                        consumed,
-                        Some(respond(shared, &req.id, &overloaded_to_json(&req.id), stamped)),
-                    )
-                }
-            }
+            (consumed, dispatch(shared, job))
+        }
+    }
+}
+
+/// Hands a solve or batch line to the worker pool, unless the I/O thread
+/// answers it in place: a single solve whose key is cached is answered
+/// from the cache without occupying a queue slot or a worker, and a full
+/// queue answers `overloaded`. Returns that in-place answer, or `None` once
+/// the job is queued (stamped `t_enqueue` at the push).
+fn dispatch(shared: &Shared, mut job: Job) -> Option<Reply> {
+    if let Payload::Single(req, key) = &job.payload {
+        if let Some(hit) = shared.lock_cache().get(key) {
+            shared.metrics.on_cache_hit();
+            let line = render_solved(&req.id, req.want_schedule, &hit, true);
+            let c = Completion {
+                cached: true,
+                deadline_at: None,
+                ..Completion::of_job(&job, "ok", None)
+            };
+            return Some(finish(shared, &line, &c));
+        }
+    }
+    let ids = job.trace;
+    job.t_enqueue = Instant::now();
+    match shared.queue.try_push(job) {
+        Ok(depth) => {
+            shared.metrics.on_queue_depth(depth as u64);
+            flight_record(shared, FlightKind::Enqueue, ids, depth as u64);
+            None
+        }
+        Err(QueueFull(job)) => {
+            shared.metrics.on_rejected();
+            flight_record(shared, FlightKind::Overload, ids, shared.queue.len() as u64);
+            flight_dump(shared, "overload");
+            let c = Completion::of_job(&job, "overloaded", None);
+            Some(finish(shared, &overloaded_to_json(c.id), &c))
         }
     }
 }
@@ -1543,6 +1450,31 @@ mod tests {
             Some("000000000000000000000000deadbeef"),
             "the slow exemplar travels as a 32-hex trace id"
         );
+    }
+
+    /// One JSONL append is one `write(2)`: the helper writes exactly the
+    /// line and its newline, and moves this thread's `syscw` by exactly 1.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn append_line_is_one_write_of_the_line_and_its_newline() {
+        fn syscw() -> u64 {
+            std::fs::read_to_string("/proc/thread-self/io")
+                .expect("per-thread I/O accounting")
+                .lines()
+                .find_map(|l| l.strip_prefix("syscw:"))
+                .and_then(|v| v.trim().parse().ok())
+                .expect("a syscw field")
+        }
+        let path = std::env::temp_dir()
+            .join(format!("mosc-serve-append-line-{}.jsonl", std::process::id()));
+        let file = Mutex::new(File::create(&path).expect("temp file"));
+        let before = syscw();
+        append_line(&file, r#"{"type":"access","id":"x"}"#.to_owned());
+        let after = syscw();
+        let written = std::fs::read_to_string(&path).expect("read back");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(written, "{\"type\":\"access\",\"id\":\"x\"}\n");
+        assert_eq!(after - before, 1, "one write(2) per appended line");
     }
 
     #[test]
