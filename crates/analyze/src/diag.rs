@@ -30,7 +30,7 @@ impl fmt::Display for Severity {
 /// `M001`–`M010` platform, `M011`–`M018` schedule, `M020`–`M024` solution,
 /// `M050`–`M054` telemetry, `M060`–`M062` serve telemetry, `M070`–`M073`
 /// serve access log, `M080`–`M083` cross-artifact consistency,
-/// `M090`–`M093` concurrency/trace invariants, `M100`–`M104` bench
+/// `M090`–`M093` concurrency/trace invariants, `M100`–`M102` bench
 /// artifacts, `M110`–`M111` platform-registry/batch consistency,
 /// `M120`–`M124` distributed tracing (wire trace ids, flight dumps,
 /// exemplars).
@@ -167,27 +167,17 @@ pub enum Code {
     SeqNonMonotonic,
     /// M100 — a bench stream is malformed: bench records with no
     /// schema-v2 `bench_meta` header (git sha, host, threads), a meta line
-    /// missing its required stamps, or a bench record missing the fields
-    /// its type requires (mode, rates, latency quantiles).
+    /// missing its required stamps, or a bench or timeline record missing
+    /// the fields its type requires.
     BenchMetaMissing,
-    /// M101 — a bench record's latency quantiles are out of order: the
-    /// report must satisfy `p50 ≤ p90 ≤ p99 ≤ p999 ≤ max` (a shared
+    /// M101 — a record's latency quantiles are out of order: the
+    /// record must satisfy `p50 ≤ p90 ≤ p99 ≤ p999 ≤ max` (a shared
     /// histogram cannot produce anything else, so disorder means the
     /// emitter mixed up fields or merged incompatible snapshots).
     BenchQuantileOrder,
-    /// M102 — an empty measurement window: a bench summary whose measured
-    /// sample count is zero (latency quantiles of nothing), or a timeline
-    /// whose windows are all empty.
+    /// M102 — an empty measurement window: a timeline whose windows are
+    /// all empty (the run completed no requests inside the sampled span).
     BenchWindowEmpty,
-    /// M103 — achieved-rate collapse: an open-loop run achieved less than
-    /// half its offered rate, so the generator outran the server and the
-    /// latency figures describe saturation, not service. Legitimate for
-    /// sweep points past the knee, hence a warning.
-    BenchRateCollapse,
-    /// M104 — a rate sweep is not sane: offered rates do not strictly
-    /// increase, or the achieved rate collapses far below its running
-    /// maximum mid-sweep (the server fell over and never recovered).
-    BenchSweepNonMonotone,
     /// M110 — a warm-registry batch solve did eigendecomposition work: an
     /// access entry claims `registry_hits > 0` (the platform was served
     /// interned) yet `eigen_calls > 0`. Eigendecompositions happen only in
@@ -276,8 +266,6 @@ impl Code {
             Self::BenchMetaMissing => "M100",
             Self::BenchQuantileOrder => "M101",
             Self::BenchWindowEmpty => "M102",
-            Self::BenchRateCollapse => "M103",
-            Self::BenchSweepNonMonotone => "M104",
             Self::RegistryWarmRecompute => "M110",
             Self::BatchRegistryDisagreement => "M111",
             Self::TraceFieldMalformed => "M120",
@@ -338,8 +326,6 @@ impl Code {
         Self::BenchMetaMissing,
         Self::BenchQuantileOrder,
         Self::BenchWindowEmpty,
-        Self::BenchRateCollapse,
-        Self::BenchSweepNonMonotone,
         Self::RegistryWarmRecompute,
         Self::BatchRegistryDisagreement,
         Self::TraceFieldMalformed,
@@ -377,8 +363,6 @@ impl Code {
             | Self::AccessDeadlineMissed
             | Self::AccessCacheInconsistent
             | Self::KernelDeltaInconsistent
-            | Self::BenchRateCollapse
-            | Self::BenchSweepNonMonotone
             | Self::BatchRegistryDisagreement
             | Self::ExemplarUnjoined => Severity::Warning,
             _ => Severity::Error,
@@ -544,7 +528,7 @@ mod tests {
 
     #[test]
     fn codes_are_stable_and_unique() {
-        assert_eq!(Code::ALL.len(), 55);
+        assert_eq!(Code::ALL.len(), 53);
         let mut seen = std::collections::HashSet::new();
         for &c in Code::ALL {
             assert!(seen.insert(c.as_str()), "duplicate code string {c}");
@@ -562,7 +546,6 @@ mod tests {
         assert_eq!(Code::PhaseAccounting.as_str(), "M092");
         assert_eq!(Code::SeqNonMonotonic.as_str(), "M093");
         assert_eq!(Code::BenchMetaMissing.as_str(), "M100");
-        assert_eq!(Code::BenchSweepNonMonotone.as_str(), "M104");
         assert_eq!(Code::RegistryWarmRecompute.as_str(), "M110");
         assert_eq!(Code::BatchRegistryDisagreement.as_str(), "M111");
         assert_eq!(Code::TraceFieldMalformed.as_str(), "M120");

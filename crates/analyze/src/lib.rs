@@ -39,8 +39,7 @@
 //!   monotonicity (M093).
 //! * **bench artifacts** ([`bench`](mod@bench)) — structural checks over the
 //!   `BENCH_*.json` streams: schema-v2 metadata presence (M100), latency
-//!   quantile ordering (M101), empty measurement windows (M102),
-//!   achieved-rate collapse (M103), and rate-sweep sanity (M104).
+//!   quantile ordering (M101), and all-empty timelines (M102).
 //!
 //! Entry points:
 //!

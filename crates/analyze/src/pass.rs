@@ -172,7 +172,7 @@ impl Lint for BenchPass {
         "bench"
     }
     fn description(&self) -> &'static str {
-        "bench artifact structure: schema-v2 metadata, quantile ordering, rate sanity (M100–M104)"
+        "bench artifact structure: schema-v2 metadata, quantile ordering, empty timelines (M100–M102)"
     }
     fn run(&self, artifacts: &Artifacts, report: &mut Report) {
         per_file(artifacts, report, |kind, sub| {

@@ -9,7 +9,6 @@ pub mod compare;
 pub mod loadgen;
 pub mod micro;
 pub mod record;
-pub mod regress;
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

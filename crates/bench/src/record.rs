@@ -1,18 +1,16 @@
-//! BENCH schema v2: one emission path for every bench artifact.
+//! BENCH schema v2: the emission path for bench artifacts.
 //!
-//! Before PR 7 each `mosc-bench` binary hand-rolled its own JSONL and the
-//! resulting `BENCH_*.json` files carried no provenance — two artifacts
-//! from different machines or commits compared as if interchangeable.
-//! Schema v2 routes every artifact through [`BenchLog`], which stamps a
-//! `{"type":"bench_meta","schema":2,...}` header (bench name, git sha,
-//! host, logical CPU count, and the options that shaped the run) ahead of
-//! the records. `mosc-bench compare` refuses artifacts whose metadata is
-//! missing, and the `M100` analyzer lint fails deny-mode CI on them.
+//! A `BENCH_*.json` file without provenance compares as if interchangeable
+//! with one from another machine or commit. Schema v2 routes an artifact
+//! through [`BenchLog`], which stamps a `{"type":"bench_meta","schema":2,...}`
+//! header (bench name, git sha, host, logical CPU count, and the options
+//! that shaped the run) ahead of the records; the `M100` analyzer lint
+//! fails deny-mode CI on artifacts whose header is missing. `periodmap`
+//! writes `BENCH_periodmap.json` this way.
 //!
 //! The stamps degrade gracefully: outside a git checkout the sha falls
 //! back to the `MOSC_GIT_SHA` environment variable and then `"unknown"`,
-//! so artifacts are still well-formed (compare warns about unknown shas
-//! instead of refusing).
+//! so artifacts are still well-formed.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -21,7 +19,7 @@ use std::process::Command;
 /// Run provenance stamped into every schema-v2 artifact header.
 #[derive(Debug, Clone)]
 pub struct RunMeta {
-    /// Which bench produced the artifact (`"loadgen"`, `"serve"`, ...).
+    /// Which bench produced the artifact (`"periodmap"`, ...).
     pub bench: String,
     /// Abbreviated commit hash of the workspace, or `"unknown"`.
     pub git_sha: String,
@@ -48,7 +46,7 @@ impl RunMeta {
 
     /// Records one run option (builder-style).
     #[must_use]
-    #[allow(clippy::needless_pass_by_value)] // builder ergonomics: `.option("rate", 150)`
+    #[allow(clippy::needless_pass_by_value)] // builder ergonomics: `.option("rows", 3)`
     pub fn option(mut self, key: &str, value: impl ToString) -> Self {
         self.options.push((key.to_string(), value.to_string()));
         self
@@ -96,12 +94,6 @@ impl BenchLog {
     pub fn push(&mut self, line: &str) {
         self.lines.push_str(line);
         self.lines.push('\n');
-    }
-
-    /// Appends a pre-rendered block of JSONL (already newline-terminated),
-    /// e.g. a drained timeline.
-    pub fn push_block(&mut self, block: &str) {
-        self.lines.push_str(block);
     }
 
     /// The accumulated artifact.
@@ -180,7 +172,7 @@ mod tests {
     #[test]
     fn header_is_valid_schema_v2_json() {
         let meta = RunMeta {
-            bench: "loadgen".into(),
+            bench: "periodmap".into(),
             git_sha: "abc1234".into(),
             host: "ci-\"box\"".into(),
             threads: 8,
@@ -189,7 +181,7 @@ mod tests {
         let doc = Value::parse(&meta.header()).expect("header parses");
         assert_eq!(doc.get("type").and_then(Value::as_str), Some("bench_meta"));
         assert_eq!(doc.get("schema").and_then(Value::as_f64), Some(2.0));
-        assert_eq!(doc.get("bench").and_then(Value::as_str), Some("loadgen"));
+        assert_eq!(doc.get("bench").and_then(Value::as_str), Some("periodmap"));
         assert_eq!(doc.get("git_sha").and_then(Value::as_str), Some("abc1234"));
         assert_eq!(doc.get("host").and_then(Value::as_str), Some("ci-\"box\""));
         assert_eq!(doc.get("threads").and_then(Value::as_f64), Some(8.0));
@@ -213,7 +205,7 @@ mod tests {
     #[test]
     fn log_passes_the_bench_analyzer_lints() {
         let meta = RunMeta {
-            bench: "serve".into(),
+            bench: "periodmap".into(),
             git_sha: "abc1234".into(),
             host: "ci".into(),
             threads: 4,
@@ -221,8 +213,8 @@ mod tests {
         };
         let mut log = BenchLog::new(&meta);
         log.push(
-            "{\"type\":\"serve\",\"mode\":\"closed\",\"clients\":4,\"requests\":160,\
-             \"wall_s\":0.1,\"req_per_s\":1600.0,\"p50_ms\":1.0,\"p99_ms\":2.0}",
+            "{\"type\":\"periodmap\",\"rows\":3,\"cols\":3,\"m\":4,\"fast_wall_s\":0.001,\
+             \"dense_wall_s\":0.01,\"fast_ops\":40,\"dense_ops\":400}",
         );
         let report = mosc_analyze::analyze_telemetry(log.render()).expect("parses");
         assert!(report.is_clean(), "findings:\n{report}");

@@ -19,7 +19,7 @@
 //!
 //! * [`Timeline::record_at`] / [`Timeline::depth_at`] take an explicit
 //!   timestamp in seconds since the run started — fully deterministic, what
-//!   the open-loop load generator and the unit tests use.
+//!   the unit tests use.
 //! * [`Timeline::record`] / [`Timeline::note_depth`] stamp against the
 //!   timeline's own creation [`Instant`] — what `mosc-serve` uses.
 //!

@@ -346,8 +346,8 @@ impl Request {
 
     /// Serializes to one canonical request line (no trailing newline) that
     /// [`parse_request`] maps back to this exact value. Every in-repo
-    /// client (the CLI, loadgen, the benches) composes request lines
-    /// through this, so the wire has one writer for each direction.
+    /// client (the CLI, `perfbench`) composes request lines through this,
+    /// so the wire has one writer for each direction.
     #[must_use]
     pub fn to_json(&self) -> String {
         match self {

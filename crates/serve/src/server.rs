@@ -976,8 +976,10 @@ fn process_job(
             }
         },
     };
-    // A duplicate may have filled the cache while this job waited.
-    if let Some(hit) = shared.lock_cache().get(key) {
+    // A duplicate may have filled the cache while this job waited. The
+    // lookup is its own statement so the cache lock drops before the answer.
+    let hit = shared.lock_cache().get(key);
+    if let Some(hit) = hit {
         shared.metrics.on_cache_hit();
         let line = render_solved(id, req.want_schedule, &hit, true);
         return finish(shared, &line, &Completion { cached: true, ..base });
@@ -1125,7 +1127,8 @@ fn process_batch(
     let mut outcomes: Vec<Option<Outcome>> = Vec::with_capacity(req.variants.len());
     let mut misses: Vec<usize> = Vec::new();
     for (i, v) in req.variants.iter().enumerate() {
-        if let Some(hit) = shared.lock_cache().get(&keys[i]) {
+        let hit = shared.lock_cache().get(&keys[i]);
+        if let Some(hit) = hit {
             shared.metrics.on_cache_hit();
             outcomes.push(Some(Outcome {
                 line: render_solved(&ids[i], v.want_schedule, &hit, true),
@@ -1375,7 +1378,8 @@ pub(crate) fn handle_line(
 /// the job is queued (stamped `t_enqueue` at the push).
 fn dispatch(shared: &Shared, mut job: Job) -> Option<Reply> {
     if let Payload::Single(req, key) = &job.payload {
-        if let Some(hit) = shared.lock_cache().get(key) {
+        let hit = shared.lock_cache().get(key);
+        if let Some(hit) = hit {
             shared.metrics.on_cache_hit();
             let line = render_solved(&req.id, req.want_schedule, &hit, true);
             let c = Completion {

@@ -12,6 +12,11 @@
 //!   answered with a feasible schedule, not an internal error.
 //! * Over-long request lines and oversized platforms are refused with a
 //!   typed error, and the daemon keeps serving.
+//! * A repeated `solve_batch` finds its platform warm in the registry and
+//!   answers bit-identically to the cold one.
+//! * The shipped `mosc-cli serve` holds 1 000 idle connections through
+//!   mixed traffic, every one still answers a ping, and its access log
+//!   passes the analyzer with no findings.
 #![cfg(unix)]
 
 use mosc::analyze::json::Value;
@@ -20,7 +25,8 @@ use mosc::serve::Server;
 use mosc_testutil::Rng64;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 0x5e7e_901d;
 const CONNECTIONS: usize = 6;
@@ -353,4 +359,191 @@ fn an_oversized_platform_is_refused_as_usage() {
     assert_eq!(pong.get("status").and_then(Value::as_str), Some("ok"), "{pong:?}");
     handle.shutdown();
     join.join().expect("server thread");
+}
+
+/// A result's answer, without the members that legitimately differ between
+/// two solves of one problem (`id`, `wall_ms`, `cached`).
+fn answer_of(result: &Value) -> (String, u64, u64, u64, String) {
+    let bits = |key: &str| result.get(key).and_then(Value::as_f64).map(f64::to_bits);
+    (
+        result.get("solver").and_then(Value::as_str).expect("solver").to_owned(),
+        bits("throughput").expect("throughput"),
+        bits("peak_c").expect("peak_c"),
+        bits("m").expect("m"),
+        result.get("schedule").and_then(Value::as_str).expect("schedule").to_owned(),
+    )
+}
+
+/// The registry amortizes the platform build across batches: a second
+/// `solve_batch` on the same platform resolves it warm, and its variants —
+/// cache misses, because `threads` is part of the solution-cache key —
+/// come back bit-identical to the cold batch's.
+#[test]
+fn a_repeated_batch_resolves_warm_and_answers_identically() {
+    let server = Server::builder().addr("127.0.0.1:0").workers(1).bind().expect("bind 127.0.0.1:0");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run().expect("serve loop"));
+
+    // The registry is process-global: no other test here uses this platform.
+    let platform = r#"{"rows":1,"cols":2,"levels":[0.6,1.0,1.3],"t_max_c":53.25}"#;
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut batch = |id: &str, threads: usize| {
+        let variants: Vec<String> = ["ao", "pco"]
+            .iter()
+            .map(|solver| {
+                format!(
+                    r#"{{"solver":"{solver}","want_schedule":true,"options":{{{QUICK},"threads":{threads}}}}}"#
+                )
+            })
+            .collect();
+        writeln!(
+            stream,
+            r#"{{"id":"{id}","op":"solve_batch","platform":{platform},"variants":[{}]}}"#,
+            variants.join(",")
+        )
+        .expect("send batch");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read batch answer");
+        let answer = Value::parse(&line).expect("answer parses");
+        assert_eq!(answer.get("status").and_then(Value::as_str), Some("ok"), "{line}");
+        (answer, line)
+    };
+
+    let (cold, cold_line) = batch("cold", 1);
+    let (warm, warm_line) = batch("warm", 2);
+    assert_eq!(cold.get("registry").and_then(Value::as_str), Some("cold"), "{cold_line}");
+    assert_eq!(warm.get("registry").and_then(Value::as_str), Some("warm"), "{warm_line}");
+    let results = |doc: &Value| -> Vec<Value> {
+        match doc.get("results") {
+            Some(Value::Array(items)) => items.clone(),
+            other => panic!("batch answer has no results array: {other:?}"),
+        }
+    };
+    let (cold, warm) = (results(&cold), results(&warm));
+    assert_eq!(cold.len(), 2, "{cold_line}");
+    assert_eq!(warm.len(), 2, "{warm_line}");
+    for (c, w) in cold.iter().zip(&warm) {
+        assert_eq!(w.get("status").and_then(Value::as_str), Some("ok"), "{warm_line}");
+        assert_eq!(w.get("cached").and_then(Value::as_bool), Some(false), "{warm_line}");
+        assert_eq!(answer_of(c), answer_of(w), "warm answer drifted from the cold one");
+    }
+    handle.shutdown();
+    join.join().expect("server thread");
+}
+
+/// Idle connections held open across the traffic below.
+const IDLE_CONNS: usize = 1000;
+
+/// A spawned daemon, killed if the test fails before it drains.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The event-loop front end serves many mostly-quiet clients: the shipped
+/// daemon, in its own process, holds 1 000 idle connections opened from
+/// this one thread while another connection sends solves and cache hits;
+/// afterwards every idle connection answers a pipelined ping, the daemon
+/// drains, and its access log passes every analyzer lint with no finding.
+#[test]
+fn a_thousand_idle_connections_survive_mixed_traffic() {
+    let access_log =
+        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("idle_conns_access.jsonl");
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_mosc-cli"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--access-log"])
+            .arg(&access_log)
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn mosc-cli serve"),
+    );
+    let mut out = BufReader::new(daemon.0.stdout.take().expect("daemon stdout"));
+    let mut banner = String::new();
+    out.read_line(&mut banner).expect("read banner");
+    let addr: SocketAddr = banner
+        .trim()
+        .strip_prefix("mosc-serve listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+        .parse()
+        .expect("daemon address");
+
+    let idle: Vec<TcpStream> = (0..IDLE_CONNS)
+        .map(|i| {
+            let stream = TcpStream::connect(addr)
+                .unwrap_or_else(|e| panic!("idle connection {i} failed to open: {e}"));
+            stream.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
+            stream
+        })
+        .collect();
+
+    // Twelve distinct solves, pipelined, then the same twelve again, which
+    // the I/O thread answers from the solution cache.
+    let mut traffic = TcpStream::connect(addr).expect("connect");
+    traffic.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
+    let mut reader = BufReader::new(traffic.try_clone().expect("clone"));
+    for (round, cached) in [("cold", false), ("hit", true)] {
+        for i in 0..12 {
+            let solver = if i % 2 == 0 { "ao" } else { "pco" };
+            writeln!(
+                traffic,
+                r#"{{"id":"{round}{i}","solver":"{solver}","platform":{{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":{}}},"options":{{{QUICK}}}}}"#,
+                55 + i
+            )
+            .expect("send solve");
+        }
+        for _ in 0..12 {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read answer");
+            let answer = Value::parse(&line).expect("answer parses");
+            assert_eq!(answer.get("status").and_then(Value::as_str), Some("ok"), "{line}");
+            assert_eq!(answer.get("cached").and_then(Value::as_bool), Some(cached), "{line}");
+        }
+    }
+
+    // Pings go out on every idle connection before any pong is read.
+    for (i, mut stream) in idle.iter().enumerate() {
+        writeln!(stream, r#"{{"id":"idle-{i}","op":"ping"}}"#)
+            .unwrap_or_else(|e| panic!("idle connection {i}: ping write failed: {e}"));
+    }
+    for (i, stream) in idle.iter().enumerate() {
+        let mut line = String::new();
+        BufReader::new(stream)
+            .read_line(&mut line)
+            .unwrap_or_else(|e| panic!("idle connection {i}: {e}"));
+        let pong =
+            Value::parse(&line).unwrap_or_else(|e| panic!("idle connection {i}: {e}: {line:?}"));
+        assert_eq!(pong.get("id").and_then(Value::as_str), Some(format!("idle-{i}").as_str()));
+        assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true), "{line}");
+    }
+    drop(idle);
+
+    writeln!(traffic, r#"{{"id":"bye","op":"shutdown"}}"#).expect("send shutdown");
+    let mut bye = String::new();
+    reader.read_line(&mut bye).expect("read shutdown ack");
+    assert!(bye.contains(r#""shutting_down":true"#), "{bye}");
+    let mut rest = String::new();
+    std::io::Read::read_to_string(&mut out, &mut rest).expect("read daemon stdout");
+    assert!(rest.contains("mosc-serve drained and stopped"), "{rest}");
+    let until = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = daemon.0.try_wait().expect("wait for daemon") {
+            break status;
+        }
+        assert!(Instant::now() < until, "the daemon did not exit after draining");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "daemon exited with {status}");
+
+    let log = std::fs::read_to_string(&access_log).expect("read access log");
+    let access_lines = log.lines().filter(|l| l.contains(r#""type":"access""#)).count();
+    assert_eq!(access_lines, IDLE_CONNS + 24 + 1, "one access line per request line");
+    let report = mosc::analyze::analyze_telemetry(&log).expect("access log parses");
+    assert!(report.is_clean(), "access log findings:\n{report}");
 }
