@@ -58,7 +58,7 @@ test -n "$ss_calls" && test -n "$pe_calls" \
 test "$ss_calls" -eq "$pe_calls" \
     || { echo "AO TPT evaluated trials: steady_state.calls $ss_calls vs peak_eval.calls $pe_calls" >&2; exit 1; }
 
-echo "==> PCO sampled-peak smoke (same samples and basis changes, core rows projected)"
+echo "==> PCO sampled-peak smoke (same samples and evaluations, cut trials stop early)"
 # Release build: debug builds add the solvers' debug_assert analyzer hooks,
 # whose own peak evaluations would move the counts.
 pco_obs=$(cargo run -q --release --bin mosc-cli -- solve --algo pco --rows 2 --cols 2 --levels 4 --tmax 63.05 --obs=json)
@@ -67,12 +67,15 @@ pco_counter() { # pco_counter <name>
 }
 pco_matmuls=$(pco_counter period_map.matmuls)
 pco_ss=$(pco_counter steady_state.calls); pco_pe=$(pco_counter peak_eval.calls)
-test -n "$pco_matmuls" && test -n "$pco_ss" && test -n "$pco_pe" \
+pco_cut=$(pco_counter pco.trials_cut)
+test -n "$pco_matmuls" && test -n "$pco_ss" && test -n "$pco_pe" && test -n "$pco_cut" \
     || { echo "PCO --obs=json missing kernel counters" >&2; exit 1; }
-# One basis change per projected sample and per polish point, as before the
-# in-place walk: the sample grid and the evaluation count must not move.
-test "$pco_matmuls" -eq 11893 && test "$pco_ss" -eq 133 && test "$pco_pe" -eq 133 \
-    || { echo "PCO counts moved: period_map.matmuls $pco_matmuls (want 11893), steady_state.calls $pco_ss, peak_eval.calls $pco_pe (want 133)" >&2; exit 1; }
+# The sample grid and the evaluation count must not move. A phase trial or
+# refill candidate stops at its first sample above its cutoff, so 24 of the
+# 32 trials are cut and far fewer samples are projected (one basis change
+# per projected sample and per polish point).
+test "$pco_matmuls" -eq 3893 && test "$pco_ss" -eq 133 && test "$pco_pe" -eq 133 && test "$pco_cut" -eq 24 \
+    || { echo "PCO counts moved: period_map.matmuls $pco_matmuls (want 3893), steady_state.calls $pco_ss, peak_eval.calls $pco_pe (want 133), pco.trials_cut $pco_cut (want 24)" >&2; exit 1; }
 
 echo "==> period-map bench artifact (BENCH_periodmap.json)"
 cargo run -q --release -p mosc-bench --bin periodmap -- --csv target/bench >/dev/null

@@ -9,7 +9,10 @@
 //! high-voltage ratios. Shifted schedules are no longer step-up, so every
 //! evaluation uses the sampled-peak path — which is exactly why PCO's
 //! computation time exceeds AO's in Table V. The phase search tries one
-//! core's candidate offsets in order on the calling thread.
+//! core's candidate offsets in order on the calling thread. A trial only
+//! matters if it beats the best peak so far (a phase offset) or fits under
+//! `T_max` (a refill candidate), so each one hands its evaluation that
+//! bound as a cutoff and is abandoned at the first sample above it.
 
 use crate::ao::{self, AoOptions};
 use crate::{Result, Solution, ACCEPT_EPS, FEASIBILITY_EPS};
@@ -20,6 +23,9 @@ use mosc_sched::{Platform, Schedule};
 static PHASES_TRIED: mosc_obs::Counter = mosc_obs::Counter::new("pco.phases_tried");
 /// Headroom-refill steps accepted (high-share grown by one `t_unit`).
 static REFILL_STEPS: mosc_obs::Counter = mosc_obs::Counter::new("pco.refill_steps");
+/// Phase trials and refill candidates whose evaluation stopped at a sample
+/// above their cutoff.
+static TRIALS_CUT: mosc_obs::Counter = mosc_obs::Counter::new("pco.trials_cut");
 
 /// Tuning knobs for PCO.
 #[derive(Debug, Clone, Copy)]
@@ -69,16 +75,34 @@ pub fn refine(platform: &Platform, ao_sol: &Solution, opts: &PcoOptions) -> Resu
     let mut schedule = ao_sol.schedule.clone();
     let t_c = schedule.period();
 
-    let sampled_peak = |s: &Schedule| -> Result<f64> {
-        Ok(eval::peak_temperature(platform.thermal(), platform.power(), s, Some(opts.samples))?
-            .temp)
+    // The sampled peak of `s` when it is at most `cutoff`; `None` (counted
+    // as a cut trial) when one of its samples is above.
+    let peak_within = |s: &Schedule, cutoff: f64| -> Result<Option<f64>> {
+        let report = eval::peak_temperature_within(
+            platform.thermal(),
+            platform.power(),
+            s,
+            opts.samples,
+            cutoff,
+        )?;
+        if report.is_none() {
+            TRIALS_CUT.incr();
+        }
+        Ok(report.map(|r| r.temp))
     };
 
     // Phase search: greedily shift each core to the offset minimizing the
     // sampled peak; the first offset in order wins ties.
     let phase_span = mosc_obs::span("pco.phase_search");
-    let mut peak = sampled_peak(&schedule)?;
+    let mut peak = eval::peak_temperature(
+        platform.thermal(),
+        platform.power(),
+        &schedule,
+        Some(opts.samples),
+    )?
+    .temp;
     let mut shifted_cores = 0usize;
+    let mut phase_cut = 0usize;
     for core in 0..platform.n_cores() {
         if schedule.core(core).segments().len() < 2 {
             continue; // constant cores have no phase
@@ -88,10 +112,13 @@ pub fn refine(platform: &Platform, ao_sol: &Solution, opts: &PcoOptions) -> Resu
         for k in 1..opts.phase_steps {
             let offset = t_c * k as f64 / opts.phase_steps as f64;
             PHASES_TRIED.incr();
-            let p = sampled_peak(&schedule.with_shifted_core(core, offset))?;
-            if p < best_peak - 1e-12 {
-                best_peak = p;
-                best_offset = offset;
+            match peak_within(&schedule.with_shifted_core(core, offset), best_peak - 1e-12)? {
+                Some(p) if p < best_peak - 1e-12 => {
+                    best_peak = p;
+                    best_offset = offset;
+                }
+                Some(_) => {}
+                None => phase_cut += 1,
             }
         }
         if best_offset > 0.0 {
@@ -103,15 +130,20 @@ pub fn refine(platform: &Platform, ao_sol: &Solution, opts: &PcoOptions) -> Resu
     drop(phase_span);
     mosc_obs::event(
         "pco.phase_selected",
-        &[("shifted_cores", shifted_cores.into()), ("peak", peak.into())],
+        &[
+            ("shifted_cores", shifted_cores.into()),
+            ("peak", peak.into()),
+            ("cut", phase_cut.into()),
+        ],
     );
 
     let refill_span = mosc_obs::span("pco.refill");
     let t_unit = t_c / opts.refill_divisor as f64;
     let max_iters = platform.n_cores() * opts.refill_divisor * 2;
-    let (mut schedule, steps) = refill(platform, schedule, t_unit, max_iters, sampled_peak)?;
+    let (mut schedule, steps, refill_cut) =
+        refill(platform, schedule, t_unit, max_iters, peak_within)?;
     drop(refill_span);
-    mosc_obs::event("pco.refill_done", &[("steps", steps.into())]);
+    mosc_obs::event("pco.refill_done", &[("steps", steps.into()), ("cut", refill_cut.into())]);
 
     // Final safety valve: if sampling missed a hot spot at coarse settings,
     // re-check at double resolution and shrink back if needed.
@@ -157,24 +189,30 @@ pub fn refine(platform: &Platform, ao_sol: &Solution, opts: &PcoOptions) -> Resu
 
 /// Headroom refill: grows the high-voltage share of whichever core keeps
 /// the chip coolest by one `t_unit`, until no single step fits under `T_max`
-/// or `max_passes` passes ran. Returns the refilled schedule and the number
-/// of steps accepted.
+/// or `max_passes` passes ran. `peak_within(s, cutoff)` is the sampled peak
+/// of `s`, or `None` once it is known to exceed `cutoff`; candidates pass
+/// `T_max + ACCEPT_EPS`. Returns the refilled schedule, the number of steps
+/// accepted and the number of candidates cut.
 fn refill(
     platform: &Platform,
     mut schedule: Schedule,
     t_unit: f64,
     max_passes: usize,
-    sampled_peak: impl Fn(&Schedule) -> Result<f64>,
-) -> Result<(Schedule, usize)> {
+    peak_within: impl Fn(&Schedule, f64) -> Result<Option<f64>>,
+) -> Result<(Schedule, usize, usize)> {
     let t_max = platform.t_max();
     let mut steps = 0;
+    let mut cut = 0;
     for _ in 0..max_passes {
         let mut best: Option<(f64, f64, Schedule)> = None; // (peak, gain, schedule)
         for core in 0..platform.n_cores() {
             let Some(cand) = grow_high_share(&schedule, core, t_unit) else {
                 continue;
             };
-            let p = sampled_peak(&cand)?;
+            let Some(p) = peak_within(&cand, t_max + ACCEPT_EPS)? else {
+                cut += 1;
+                continue;
+            };
             if p <= t_max + ACCEPT_EPS {
                 let gain = cand.throughput() - schedule.throughput();
                 let better = match &best {
@@ -193,7 +231,7 @@ fn refill(
         steps += 1;
         REFILL_STEPS.incr();
     }
-    Ok((schedule, steps))
+    Ok((schedule, steps, cut))
 }
 
 /// Moves `t_unit` seconds from the lowest-voltage segment of `core` to its
@@ -299,14 +337,15 @@ mod tests {
         let p = Platform::build(&PlatformSpec::paper(1, 3, 2, 55.0)).unwrap();
         let opts = quick_opts();
         let ao_sol = ao::solve_with(&p, &opts.ao).unwrap();
-        let peak = |s: &Schedule| -> Result<f64> {
-            Ok(eval::peak_temperature(p.thermal(), p.power(), s, Some(opts.samples))?.temp)
+        let peak = |s: &Schedule, cutoff: f64| -> Result<Option<f64>> {
+            let r = eval::peak_temperature_within(p.thermal(), p.power(), s, opts.samples, cutoff)?;
+            Ok(r.map(|r| r.temp))
         };
         let t_unit = ao_sol.schedule.period() / opts.refill_divisor as f64;
 
         // AO's answer leaves no step's worth of headroom: the one pass that
         // finds nothing to accept is not a step.
-        let (same, steps) = refill(&p, ao_sol.schedule.clone(), t_unit, 100, peak).unwrap();
+        let (same, steps, _) = refill(&p, ao_sol.schedule.clone(), t_unit, 100, peak).unwrap();
         assert_eq!(steps, 0, "a pass that accepts nothing counts nothing");
         assert_eq!(same.throughput(), ao_sol.schedule.throughput());
 
@@ -315,12 +354,12 @@ mod tests {
         for _ in 0..3 {
             cooled = transfer_time(&cooled, 0, t_unit, false).unwrap();
         }
-        let (_, none) = refill(&p, cooled.clone(), t_unit, 0, peak).unwrap();
+        let (_, none, _) = refill(&p, cooled.clone(), t_unit, 0, peak).unwrap();
         assert_eq!(none, 0);
-        let (one, steps) = refill(&p, cooled.clone(), t_unit, 1, peak).unwrap();
+        let (one, steps, _) = refill(&p, cooled.clone(), t_unit, 1, peak).unwrap();
         assert_eq!(steps, 1);
         assert!(one.throughput() > cooled.throughput());
-        let (all, steps) = refill(&p, cooled.clone(), t_unit, 100, peak).unwrap();
+        let (all, steps, _) = refill(&p, cooled.clone(), t_unit, 100, peak).unwrap();
         assert!((1..100).contains(&steps), "refill ran {steps} steps");
         assert!(all.throughput() >= one.throughput());
     }

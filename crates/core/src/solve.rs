@@ -121,11 +121,11 @@ impl std::str::FromStr for SolverKind {
 /// be hashed canonically for caching and carried verbatim over the wire.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveOptions {
-    /// Worker threads for the EXS partition search and for the variants of
-    /// a [`solve_batch`] call. `0` = all available. Any value produces
-    /// bit-identical results, and the value is part of a service's cache
-    /// key. AO, PCO, LNS and the governor ignore it: they solve on the
-    /// calling thread.
+    /// Worker threads for the EXS partition search. `0` = all available.
+    /// Any value produces bit-identical results, and the value is part of a
+    /// service's cache key. AO, PCO, LNS and the governor ignore it: they
+    /// solve on the calling thread. (A [`solve_batch`] call takes its own
+    /// thread count.)
     pub threads: usize,
     /// Hard cap on the oscillation factor (AO/PCO only).
     pub max_m: usize,
@@ -419,7 +419,10 @@ pub struct BatchVariant {
 
 /// Solves every variant against one shared `platform`, fanning the variants
 /// out over `threads` scoped worker threads (`0` = all available, clamped
-/// to the variant count).
+/// to the variant count). With 1 thread the variants are solved in order
+/// on the calling thread, which is how the daemon runs a batch: its worker
+/// pool already keeps the cores busy, and a fan-out per batch adds thread
+/// spawns and CPU without shortening the batch.
 ///
 /// All variants share the platform's memoized kernel state — the
 /// eigendecomposition and the per-voltage T∞ vectors are computed at most

@@ -28,6 +28,8 @@ use mosc_linalg::{Lu, Matrix, Vector};
 use mosc_power::PowerLike;
 use mosc_thermal::{ThermalModel, Trace};
 use std::collections::hash_map::{Entry, HashMap};
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Periodic fixed points computed ([`SteadyState::compute`] and the exact
@@ -181,28 +183,34 @@ impl SteadyState {
     pub fn trace(&self, model: &ThermalModel, samples: usize) -> Result<Trace> {
         let mut trace = Trace::with_capacity(self.n_cores, samples + self.intervals.len() + 2);
         trace.push(0.0, self.t_start.clone());
-        self.walk(model, samples, |time, y| {
-            trace.push(time, period_map::from_modal(model, y)?);
-            Ok(())
-        })?;
+        let ControlFlow::Continue(()) =
+            self.walk(model, samples, 0..self.intervals.len(), |_, time, y| {
+                trace.push(time, period_map::from_modal(model, y)?);
+                Ok(ControlFlow::<Infallible>::Continue(()))
+            })?;
         Ok(trace)
     }
 
     /// The sample walk behind [`SteadyState::trace`] and
-    /// [`SteadyState::peak_sampled`]: steps each block interval in
-    /// `ceil(len / dt_target)` equal steps of `h`, advancing one reused modal
-    /// buffer by `y ← d∘(y − y∞) + y∞` with `d = e^{−λ·h}`, and hands
-    /// `visit` every sample after the period start (time, modal state).
-    /// Allocates per walk and per interval, never per sample.
-    fn walk(
+    /// [`SteadyState::peak_sampled`]: steps each block interval named by
+    /// `order` in `ceil(len / dt_target)` equal steps of `h`, advancing one
+    /// reused modal buffer by `y ← d∘(y − y∞) + y∞` with `d = e^{−λ·h}`, and
+    /// hands `visit` every sample after the period start (interval index,
+    /// time, modal state) until it breaks. Each interval restarts from its
+    /// own stable start state, so a sample's bits do not depend on the order
+    /// the intervals are stepped in. Allocates per walk and per interval,
+    /// never per sample.
+    fn walk<B>(
         &self,
         model: &ThermalModel,
         samples: usize,
-        mut visit: impl FnMut(f64, &Vector) -> Result<()>,
-    ) -> Result<()> {
+        order: impl IntoIterator<Item = usize>,
+        mut visit: impl FnMut(usize, f64, &Vector) -> Result<ControlFlow<B>>,
+    ) -> Result<ControlFlow<B>> {
         let dt_target = self.block_period() / samples.max(1) as f64;
         let mut y = Vector::zeros(model.n_nodes());
-        for iv in &self.intervals {
+        for i in order {
+            let iv = &self.intervals[i];
             let n_steps = (iv.len / dt_target).ceil().max(1.0) as usize;
             let h = iv.len / n_steps as f64;
             let d = model.modal_decay(h)?;
@@ -212,38 +220,89 @@ impl SteadyState {
                 for (yk, (&dk, &ik)) in y.as_mut_slice().iter_mut().zip(modes) {
                     *yk = dk * (*yk - ik) + ik;
                 }
-                visit(iv.start + h * s as f64, &y)?;
+                if let ControlFlow::Break(b) = visit(i, iv.start + h * s as f64, &y)? {
+                    return Ok(ControlFlow::Break(b));
+                }
             }
         }
-        Ok(())
+        Ok(ControlFlow::Continue(()))
     }
 
     /// Peak core temperature over the sampled stable-status trace:
     /// bit-identical to `self.trace(model, samples)?.peak()`, but each sample
     /// projects only the core rows of the basis change and feeds a running
-    /// maximum (same scan order, strict `>`), so no trace is stored and
-    /// nothing is allocated per sample.
+    /// maximum, so no trace is stored and nothing is allocated per sample.
     ///
     /// # Errors
     /// Solver failures only (cannot occur for a constructed model).
     pub fn peak_sampled(&self, model: &ThermalModel, samples: usize) -> Result<PeakReport> {
-        let mut best: Option<PeakReport> = None;
-        let mut consider = |time: f64, core: usize, temp: f64| {
-            if best.is_none_or(|b| temp > b.temp) {
-                best = Some(PeakReport { temp, core, time, exact: false });
-            }
-        };
+        Ok(self
+            .peak_sampled_within(model, samples, f64::INFINITY)?
+            .expect("no sample exceeds an infinite cutoff"))
+    }
+
+    /// [`SteadyState::peak_sampled`], abandoned at the first sample hotter
+    /// than `cutoff`: `None` then, which proves the sampled peak (and so the
+    /// refined one) is above `cutoff`; otherwise the same report, bit for
+    /// bit.
+    ///
+    /// The period start is checked first, then the block interval whose end
+    /// is hottest in the stable status is stepped, then the others in
+    /// order — a sample that rules the schedule out usually comes early.
+    /// The maximum is still the first hottest sample in trace order (strict
+    /// `>`): each interval keeps its own running maximum, and those are
+    /// folded in interval order after the period start's.
+    fn peak_sampled_within(
+        &self,
+        model: &ThermalModel,
+        samples: usize,
+        cutoff: f64,
+    ) -> Result<Option<PeakReport>> {
+        let mut start: Option<PeakReport> = None;
         for core in 0..self.n_cores {
-            consider(0.0, core, self.t_start[core]);
-        }
-        self.walk(model, samples, |time, y| {
-            period_map::count_projection();
-            for core in 0..self.n_cores {
-                consider(time, core, model.node_from_modal(core, y.as_slice()));
+            let temp = self.t_start[core];
+            if temp > cutoff {
+                return Ok(None);
             }
-            Ok(())
+            if start.is_none_or(|b| temp > b.temp) {
+                start = Some(PeakReport { temp, core, time: 0.0, exact: false });
+            }
+        }
+        let mut hot = None;
+        let mut hot_temp = f64::NEG_INFINITY;
+        for (i, t) in self.at_ends.iter().enumerate() {
+            for c in 0..self.n_cores {
+                if t[c] > hot_temp {
+                    (hot, hot_temp) = (Some(i), t[c]);
+                }
+            }
+        }
+        let order = hot.into_iter().chain((0..self.intervals.len()).filter(|&i| Some(i) != hot));
+        let mut interval_best: Vec<Option<PeakReport>> = vec![None; self.intervals.len()];
+        let flow = self.walk(model, samples, order, |i, time, y| {
+            period_map::count_projection();
+            let best = &mut interval_best[i];
+            for core in 0..self.n_cores {
+                let temp = model.node_from_modal(core, y.as_slice());
+                if temp > cutoff {
+                    return Ok(ControlFlow::Break(()));
+                }
+                if temp > best.map_or(f64::NEG_INFINITY, |b| b.temp) {
+                    *best = Some(PeakReport { temp, core, time, exact: false });
+                }
+            }
+            Ok(ControlFlow::Continue(()))
         })?;
-        Ok(best.expect("a platform has at least one core"))
+        if flow.is_break() {
+            return Ok(None);
+        }
+        let mut best = start.expect("a platform has at least one core");
+        for b in interval_best.into_iter().flatten() {
+            if b.temp > best.temp {
+                best = b;
+            }
+        }
+        Ok(Some(best))
     }
 
     /// The block interval enclosing time `t` and the offset into it, with
@@ -325,6 +384,18 @@ impl SteadyState {
         tol: f64,
     ) -> Result<PeakReport> {
         let coarse = self.peak_sampled(model, samples)?;
+        self.polish(model, coarse, samples, tol)
+    }
+
+    /// The golden-section half of [`SteadyState::peak_refined`], around the
+    /// sampled peak `coarse` of a `samples`-point walk.
+    fn polish(
+        &self,
+        model: &ThermalModel,
+        coarse: PeakReport,
+        samples: usize,
+        tol: f64,
+    ) -> Result<PeakReport> {
         let period = self.block_period();
         let window = period / samples.max(1) as f64;
         let lo = (coarse.time - window).max(0.0);
@@ -425,7 +496,8 @@ pub struct PeakReport {
 /// Step-up schedules take the exact Theorem-1 fast path (the peak is the
 /// period-end = period-start stable temperature). Arbitrary schedules fall
 /// back to dense sampling with `samples` points per period
-/// ([`DEFAULT_SAMPLES_PER_PERIOD`] when `None`).
+/// ([`DEFAULT_SAMPLES_PER_PERIOD`] when `None`), polished by
+/// [`SteadyState::peak_refined`].
 ///
 /// # Errors
 /// Core-count mismatches or solver failures.
@@ -435,6 +507,30 @@ pub fn peak_temperature<P: PowerLike + ?Sized>(
     schedule: &Schedule,
     samples: Option<usize>,
 ) -> Result<PeakReport> {
+    let samples = samples.unwrap_or(DEFAULT_SAMPLES_PER_PERIOD);
+    Ok(peak_temperature_within(model, power, schedule, samples, f64::INFINITY)?
+        .expect("no sample exceeds an infinite cutoff"))
+}
+
+/// [`peak_temperature`] for a caller that only needs the answer when it is
+/// at most `cutoff`: `Some(r)` is bit-identical to
+/// `peak_temperature(model, power, schedule, Some(samples))`, and `None`
+/// means one of that evaluation's own coarse samples (the period start
+/// included) was above `cutoff` — the polish only raises the coarse
+/// maximum, so the peak is above `cutoff` too. A schedule ruled out early
+/// skips the rest of its walk and the polish.
+///
+/// Step-up schedules take the exact path and always answer `Some`.
+///
+/// # Errors
+/// Core-count mismatches or solver failures.
+pub fn peak_temperature_within<P: PowerLike + ?Sized>(
+    model: &ThermalModel,
+    power: &P,
+    schedule: &Schedule,
+    samples: usize,
+    cutoff: f64,
+) -> Result<Option<PeakReport>> {
     PEAK_EVAL_CALLS.incr();
     // Theorem 1 applies per repeating block: the stable trace is
     // block-periodic, so a step-up *block* peaks at the block boundary even
@@ -451,14 +547,16 @@ pub fn peak_temperature<P: PowerLike + ?Sized>(
                 best = PeakReport { temp: t[c], core: c, time: 0.0, exact: true };
             }
         }
-        Ok(best)
+        Ok(Some(best))
     } else {
         // Sample, then polish the winning sample with a golden-section local
         // search — one extra core's trajectory, so nearly free.
         let ss = SteadyState::compute(model, power, schedule)?;
-        let samples = samples.unwrap_or(DEFAULT_SAMPLES_PER_PERIOD);
+        let Some(coarse) = ss.peak_sampled_within(model, samples, cutoff)? else {
+            return Ok(None);
+        };
         let tol = schedule.block_period() / samples as f64 * 1e-3;
-        ss.peak_refined(model, samples, tol)
+        ss.polish(model, coarse, samples, tol).map(Some)
     }
 }
 

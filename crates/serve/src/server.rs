@@ -1085,8 +1085,10 @@ fn answer_solve(
 
 /// The worker side of `solve_batch`: resolve the shared platform once
 /// through the interning registry, consult the solution cache per variant,
-/// fan the misses over [`mosc_core::solve_batch`], fill the cache, record
-/// one access entry per variant (op `"solve"`, ids `"<batch id>#<i>"`,
+/// solve the misses in order on this worker ([`mosc_core::solve_batch`]
+/// with 1 thread: the worker pool is the daemon's parallelism, and a
+/// per-batch fan-out only adds thread spawns), fill the cache, record one
+/// access entry per variant (op `"solve"`, ids `"<batch id>#<i>"`,
 /// sequence numbers `job.seq + i`), and answer with a single framed line.
 fn process_batch(
     shared: &Shared,
@@ -1146,7 +1148,7 @@ fn process_batch(
         .iter()
         .map(|&i| BatchVariant { kind: req.variants[i].kind, options: req.variants[i].options })
         .collect();
-    let results = mosc_core::solve_batch(&platform, &variants, 0);
+    let results = mosc_core::solve_batch(&platform, &variants, 1);
     for (&i, result) in misses.iter().zip(results) {
         let v = &req.variants[i];
         outcomes[i] = Some(answer_solve(

@@ -7,6 +7,11 @@
 //! full-vector API — `SteadyState::trace(..).peak()` and a polish over
 //! `at_time(..)[core]` — on random phase-shifted two-mode schedules with
 //! repeated blocks: temperature bits, core and time must all be equal.
+//!
+//! `eval::peak_temperature_within` is checked against `peak_temperature` on
+//! the same shifted schedules and on plain step-up ones, at cutoffs around
+//! the peak: an answer is the full evaluation's, bit for bit, and a refusal
+//! means the full evaluation's peak is above the cutoff.
 
 use mosc::power::{CorePowerTable, PowerLike, PowerModel};
 use mosc::prelude::*;
@@ -20,10 +25,10 @@ const EPS: f64 = 1e-9;
 
 const SAMPLES: [usize; 3] = [20, 300, 600];
 
-/// A random two-mode schedule on `n` cores: each core takes two levels and
-/// a high share, some cores are cyclically shifted by a random fraction of
-/// the block, and the block repeats 1–5 times.
-fn random_shifted(rng: &mut Rng64, n: usize, levels: &[f64]) -> Schedule {
+/// A random unshifted two-mode block on `n` cores (each core takes two
+/// levels and a high share, low first, so the block is step-up) and its
+/// length.
+fn random_two_mode(rng: &mut Rng64, n: usize, levels: &[f64]) -> (Schedule, f64) {
     let mut low = Vec::with_capacity(n);
     let mut high = Vec::with_capacity(n);
     let mut ratios = Vec::with_capacity(n);
@@ -35,13 +40,25 @@ fn random_shifted(rng: &mut Rng64, n: usize, levels: &[f64]) -> Schedule {
         ratios.push(rng.gen_range(0.05..=0.95));
     }
     let block = rng.gen_range(0.002..=0.02);
-    let mut s = Schedule::two_mode(&low, &high, &ratios, block).unwrap();
+    (Schedule::two_mode(&low, &high, &ratios, block).unwrap(), block)
+}
+
+/// A random two-mode schedule on `n` cores: some cores of a
+/// [`random_two_mode`] block are cyclically shifted by a random fraction of
+/// the block, and the block repeats 1–5 times.
+fn random_shifted(rng: &mut Rng64, n: usize, levels: &[f64]) -> Schedule {
+    let (mut s, block) = random_two_mode(rng, n, levels);
     for core in 0..n {
         if rng.below(3) != 0 {
             s = s.with_shifted_core(core, block * rng.gen_range(0.05..=0.95));
         }
     }
     s.repeated(rng.gen_range(1..=5usize))
+}
+
+/// A [`random_two_mode`] block, unshifted (so step-up), repeated 1–5 times.
+fn random_step_up(rng: &mut Rng64, n: usize, levels: &[f64]) -> Schedule {
+    random_two_mode(rng, n, levels).0.repeated(rng.gen_range(1..=5usize))
 }
 
 /// `Trace::peak` over the materialized stable trace, as a report.
@@ -144,6 +161,50 @@ fn check<P: PowerLike>(rng: &mut Rng64, model: &ThermalModel, power: &P, levels:
             let served = eval::peak_temperature(model, power, &schedule, Some(samples)).unwrap();
             assert_same(served, want, "peak_temperature");
         }
+    }
+}
+
+/// `peak_temperature_within` at cutoffs on both sides of the full
+/// evaluation's peak agrees with `peak_temperature`.
+fn check_cutoffs<P: PowerLike>(model: &ThermalModel, power: &P, schedule: &Schedule) {
+    for samples in SAMPLES {
+        let full = eval::peak_temperature(model, power, schedule, Some(samples)).unwrap();
+        let p = full.temp;
+        let cutoffs =
+            [p, p - 1e-12, p + 1e-12, p - 1e-6, p + 1e-6, f64::NEG_INFINITY, f64::INFINITY];
+        for cutoff in cutoffs {
+            let what = format!("cutoff {cutoff} vs peak {p}, {samples} samples");
+            let got =
+                eval::peak_temperature_within(model, power, schedule, samples, cutoff).unwrap();
+            if cutoff == f64::NEG_INFINITY && !full.exact {
+                assert!(got.is_none(), "a sampled evaluation kept an impossible cutoff: {what}");
+            }
+            match got {
+                Some(r) => assert_same(r, full, &what),
+                None => {
+                    // Every sample is at most the coarse maximum, which is
+                    // at most the polished peak: a cutoff at or above the
+                    // peak cuts nothing.
+                    assert!(p > cutoff, "refused at or above the peak: {what}");
+                    assert!(!full.exact, "the exact step-up path never refuses: {what}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn cutoff_evaluations_match_the_full_evaluation() {
+    for (rows, cols) in [(1, 2), (2, 2), (1, 3)] {
+        let p = Platform::build(&PlatformSpec::paper(rows, cols, 5, 60.0)).unwrap();
+        let levels = p.modes().levels();
+        propcheck_cases(&format!("cutoff peak: {rows}x{cols}"), 6, |rng| {
+            let shifted = random_shifted(rng, p.n_cores(), levels);
+            check_cutoffs(p.thermal(), p.power(), &shifted);
+            let step_up = random_step_up(rng, p.n_cores(), levels);
+            assert!(step_up.block_is_step_up());
+            check_cutoffs(p.thermal(), p.power(), &step_up);
+        });
     }
 }
 

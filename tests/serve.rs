@@ -14,6 +14,8 @@
 //!   typed error, and the daemon keeps serving.
 //! * A repeated `solve_batch` finds its platform warm in the registry and
 //!   answers bit-identically to the cold one.
+//! * A `solve_batch` of AO and PCO variants answers each variant exactly as
+//!   an in-process `mosc::algorithms::solve` of it does.
 //! * The shipped `mosc-cli serve` holds 1 000 idle connections through
 //!   mixed traffic, every one still answers a ping, and its access log
 //!   passes the analyzer with no findings.
@@ -429,6 +431,89 @@ fn a_repeated_batch_resolves_warm_and_answers_identically() {
         assert_eq!(w.get("status").and_then(Value::as_str), Some("ok"), "{warm_line}");
         assert_eq!(w.get("cached").and_then(Value::as_bool), Some(false), "{warm_line}");
         assert_eq!(answer_of(c), answer_of(w), "warm answer drifted from the cold one");
+    }
+    handle.shutdown();
+    join.join().expect("server thread");
+}
+
+/// A wire `solve_batch` of two AO and two PCO variants, each with its own
+/// options, answers every variant exactly as an in-process
+/// `mosc::algorithms::solve` on the same platform and options: throughput,
+/// peak, `m` and the schedule text, bit for bit.
+#[test]
+fn a_batch_answers_like_in_process_solves() {
+    use mosc::algorithms::{SolveOptions, SolverKind};
+
+    let server = Server::builder().addr("127.0.0.1:0").workers(1).bind().expect("bind 127.0.0.1:0");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run().expect("serve loop"));
+
+    // The registry is process-global: no other test here uses this platform.
+    let platform_json = r#"{"rows":1,"cols":3,"levels":[0.6,1.0,1.3],"t_max_c":51.75}"#;
+    let quick = SolveOptions { max_m: 64, m_patience: 4, t_unit_divisor: 50, ..Default::default() };
+    let coarse = SolveOptions {
+        max_m: 32,
+        m_patience: 3,
+        t_unit_divisor: 40,
+        phase_steps: 4,
+        samples: 150,
+        refill_divisor: 40,
+        ..Default::default()
+    };
+    let variants = [
+        (SolverKind::Ao, quick),
+        (SolverKind::Ao, coarse),
+        (SolverKind::Pco, quick),
+        (SolverKind::Pco, coarse),
+    ];
+    let wire: Vec<String> = variants
+        .iter()
+        .map(|(kind, o)| {
+            format!(
+                r#"{{"solver":"{}","want_schedule":true,"options":{{"max_m":{},"m_patience":{},"t_unit_divisor":{},"phase_steps":{},"samples":{},"refill_divisor":{}}}}}"#,
+                kind.id(),
+                o.max_m,
+                o.m_patience,
+                o.t_unit_divisor,
+                o.phase_steps,
+                o.samples,
+                o.refill_divisor
+            )
+        })
+        .collect();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    writeln!(
+        stream,
+        r#"{{"id":"b","op":"solve_batch","platform":{platform_json},"variants":[{}]}}"#,
+        wire.join(",")
+    )
+    .expect("send batch");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read batch answer");
+    let answer = Value::parse(&line).expect("answer parses");
+    assert_eq!(answer.get("status").and_then(Value::as_str), Some("ok"), "{line}");
+    let results = match answer.get("results") {
+        Some(Value::Array(items)) => items.clone(),
+        other => panic!("batch answer has no results array: {other:?}"),
+    };
+    assert_eq!(results.len(), variants.len(), "{line}");
+
+    let doc = Value::parse(&format!(r#"{{"platform":{platform_json}}}"#)).expect("platform doc");
+    let platform = mosc::analyze::platform_from_doc(&doc).expect("platform builds");
+    for ((kind, options), result) in variants.iter().zip(&results) {
+        assert_eq!(result.get("status").and_then(Value::as_str), Some("ok"), "{line}");
+        let solution = mosc::algorithms::solve(*kind, &platform, options).expect("solves").solution;
+        let want = (
+            kind.id().to_owned(),
+            solution.throughput.to_bits(),
+            solution.peak_c(&platform).to_bits(),
+            (solution.m as f64).to_bits(),
+            mosc::sched::text::to_text(&solution.schedule),
+        );
+        assert_eq!(answer_of(result), want, "{kind} variant drifted from its in-process solve");
     }
     handle.shutdown();
     join.join().expect("server thread");
