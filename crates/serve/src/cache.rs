@@ -16,7 +16,8 @@
 //! a wrong answer; and entries are shared `Arc`s, so hit cost does not
 //! scale with `schedule_text` size.
 
-use crate::proto::{canonical_json, options_to_json, SolveRequest};
+use crate::proto::{write_options, SolveOk, SolveRequest, OPTIONS_JSON_BYTES};
+use mosc_analyze::json::write_canonical;
 use mosc_core::registry::{ContentKey, VerifiedLru};
 use mosc_core::{SolveOptions, SolverKind, SolverStats};
 
@@ -36,7 +37,9 @@ pub type LruCache = VerifiedLru<CachedSolve>;
 /// the deadline masked out (see the module docs).
 #[must_use]
 pub fn cache_key(req: &SolveRequest) -> CacheKey {
-    cache_key_parts(&canonical_json(&req.platform), req.kind, &req.options)
+    let mut preimage = String::with_capacity(KEY_PLATFORM_BYTES + KEY_TAIL_BYTES);
+    write_canonical(&mut preimage, &req.platform);
+    finish_key(preimage, req.kind, &req.options)
 }
 
 /// [`cache_key`] from pre-serialized parts: the batch path canonicalizes
@@ -47,13 +50,26 @@ pub fn cache_key_parts(
     kind: SolverKind,
     options: &SolveOptions,
 ) -> CacheKey {
-    let keyed_options = SolveOptions { deadline: None, ..*options };
-    let mut preimage = String::with_capacity(canonical_platform.len() + 64);
+    let mut preimage = String::with_capacity(canonical_platform.len() + KEY_TAIL_BYTES);
     preimage.push_str(canonical_platform);
+    finish_key(preimage, kind, options)
+}
+
+/// Room for a typical canonical platform in a preimage buffer; a longer
+/// one grows the buffer.
+const KEY_PLATFORM_BYTES: usize = 128;
+
+/// Room for the preimage after the platform: two separators, the solver id
+/// and the options.
+const KEY_TAIL_BYTES: usize = OPTIONS_JSON_BYTES + 16;
+
+/// Appends `\0 kind \0 options` (deadline masked) to a preimage holding the
+/// canonical platform, and hashes it.
+fn finish_key(mut preimage: String, kind: SolverKind, options: &SolveOptions) -> CacheKey {
     preimage.push('\0');
     preimage.push_str(kind.id());
     preimage.push('\0');
-    preimage.push_str(&options_to_json(&keyed_options));
+    write_options(&mut preimage, &SolveOptions { deadline: None, ..*options });
     CacheKey::new(preimage)
 }
 
@@ -80,9 +96,33 @@ pub struct CachedSolve {
     pub schedule_text: String,
 }
 
+impl CachedSolve {
+    /// The `ok` response line answering `id` from this solve (no trailing
+    /// newline), written straight from the entry: the schedule text is
+    /// escaped into the line, never copied out first. The buffer has room
+    /// for the line's trailing newline, so framing it does not grow it.
+    #[must_use]
+    pub fn response_line(&self, id: &str, want_schedule: bool, cached: bool) -> String {
+        SolveOk {
+            id,
+            solver: self.solver,
+            throughput: self.throughput,
+            peak_c: self.peak_c,
+            feasible: self.feasible,
+            m: self.m,
+            wall_ms: self.wall_ms,
+            cached,
+            stats: &self.stats,
+            schedule: want_schedule.then_some(self.schedule_text.as_str()),
+        }
+        .to_line()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::canonical_json;
     use mosc_analyze::json::Value;
 
     #[test]
