@@ -361,7 +361,8 @@ impl SolveReport {
 ///   [`SolveOptions::deadline`].
 /// * Propagated evaluation failures.
 pub fn solve(kind: SolverKind, platform: &Platform, opts: &SolveOptions) -> Result<SolveReport> {
-    let deadline_at = opts.deadline.map(|d| Instant::now() + d);
+    // A deadline no `Instant` can hold is no deadline at all.
+    let deadline_at = opts.deadline.and_then(|d| Instant::now().checked_add(d));
     let kernel_before = KernelDelta::read();
     let start = Instant::now();
     let (solution, stats) = match kind {
@@ -556,5 +557,13 @@ mod tests {
         // Constructive solvers ignore the deadline by contract.
         let report = solve(SolverKind::Lns, &p, &opts).unwrap();
         assert!(report.solution.throughput > 0.0);
+    }
+
+    #[test]
+    fn a_deadline_past_what_an_instant_holds_is_no_deadline() {
+        let p = mosc_sched::Platform::build(&PlatformSpec::paper(1, 3, 3, 55.0)).unwrap();
+        let opts = SolveOptions { deadline: Some(Duration::MAX), ..SolveOptions::default() };
+        let report = solve(SolverKind::Exs, &p, &opts).unwrap();
+        assert_eq!(report.stats.explored, 27);
     }
 }

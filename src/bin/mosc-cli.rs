@@ -665,14 +665,16 @@ fn serve(args: &Args) -> Result<ExitCode, CliError> {
             if !ms.is_finite() || ms < 0.0 {
                 return Err(CliError::Usage("--slow-ms must be >= 0".into()));
             }
-            std::time::Duration::from_secs_f64(ms / 1e3)
+            std::time::Duration::try_from_secs_f64(ms / 1e3)
+                .map_err(|_| CliError::Usage("--slow-ms is too large".into()))?
         })
         .timeline_window({
             let ms: f64 = args.parse_or("--timeline-window-ms", 1000.0)?;
             if !ms.is_finite() || ms <= 0.0 {
                 return Err(CliError::Usage("--timeline-window-ms must be > 0".into()));
             }
-            std::time::Duration::from_secs_f64(ms / 1e3)
+            std::time::Duration::try_from_secs_f64(ms / 1e3)
+                .map_err(|_| CliError::Usage("--timeline-window-ms is too large".into()))?
         });
     if let Some(s) = args.flag("--deadline-ms") {
         let ms: f64 = s
@@ -681,7 +683,9 @@ fn serve(args: &Args) -> Result<ExitCode, CliError> {
         if !ms.is_finite() || ms < 0.0 {
             return Err(CliError::Usage("--deadline-ms must be >= 0".into()));
         }
-        builder = builder.default_deadline(std::time::Duration::from_secs_f64(ms / 1e3));
+        let deadline = std::time::Duration::try_from_secs_f64(ms / 1e3)
+            .map_err(|_| CliError::Usage("--deadline-ms is too large".into()))?;
+        builder = builder.default_deadline(deadline);
     }
     if let Some(s) = args.flag("--idle-timeout-ms") {
         let ms: f64 = s
@@ -690,7 +694,9 @@ fn serve(args: &Args) -> Result<ExitCode, CliError> {
         if !ms.is_finite() || ms <= 0.0 {
             return Err(CliError::Usage("--idle-timeout-ms must be > 0".into()));
         }
-        builder = builder.idle_timeout(std::time::Duration::from_secs_f64(ms / 1e3));
+        let idle = std::time::Duration::try_from_secs_f64(ms / 1e3)
+            .map_err(|_| CliError::Usage("--idle-timeout-ms is too large".into()))?;
+        builder = builder.idle_timeout(idle);
     }
     if let Some(path) = args.flag("--access-log") {
         builder = builder.access_log(path);
