@@ -271,9 +271,23 @@ echo "$bt_warm" | grep -q 'registry warm' \
     || { echo "batch smoke: repeated batch missed the registry" >&2; echo "$bt_warm" >&2; exit 1; }
 echo "$bt_warm" | grep -q '"cached":true' \
     || { echo "batch smoke: repeated batch missed the solution cache" >&2; echo "$bt_warm" >&2; exit 1; }
+# A third batch on the same floorplan under another T_max: a cold registry
+# key, but the floorplan's thermal model is already built, so variant 0's
+# access entry must report no eigendecomposition.
+shared_platform=$(echo "$smoke_platform" | sed 's/"t_max_c":[0-9.]*/"t_max_c":58.0/')
+bt_shared=$(printf '%s\n' \
+    "{\"id\":\"c1\",\"solver\":\"ao\",\"platform\":$shared_platform}" \
+    "{\"id\":\"c2\",\"solver\":\"pco\",\"platform\":$shared_platform}" \
+    | ./target/release/mosc-cli client --batch --addr "$bt_addr" 2>&1)
+echo "$bt_shared" | grep -q 'registry cold' \
+    || { echo "batch smoke: a new T_max did not resolve cold" >&2; echo "$bt_shared" >&2; exit 1; }
+test "$(echo "$bt_shared" | grep -c '"status":"ok"')" -eq 2 \
+    || { echo "batch smoke: the new-T_max batch did not answer both variants" >&2; echo "$bt_shared" >&2; exit 1; }
 printf '%s\n' '{"id":"bye","op":"shutdown"}' \
     | ./target/release/mosc-cli client --addr "$bt_addr" >/dev/null
 wait "$bt_pid" || { echo "batch smoke: daemon exited non-zero" >&2; cat "$bt_log" >&2; exit 1; }
+grep '"id":"c1#0"' "$bt_access" | grep -q '"eigen_calls":0.0' \
+    || { echo "batch smoke: a built floorplan was eigendecomposed again" >&2; grep '"id":"c1#0"' "$bt_access" >&2; exit 1; }
 # The per-variant access entries carry registry attribution; the M110/M111
 # joins (warm-recompute, resolve disagreement) must pass in deny mode.
 ./target/release/mosc-cli analyze -D warnings "$bt_access" \

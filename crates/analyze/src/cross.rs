@@ -256,9 +256,10 @@ fn registry_lints(records: &[StreamRecord], report: &mut Report) {
     let entries = batch_entries(records);
 
     // --- M110: a warm registry resolve must not rebuild -------------------
-    // Eigendecompositions happen only in `Platform::build`; a variant that
-    // reports the batch's resolve as a hit while its delta shows eigen work
-    // means the registry handed out an interned platform *and* rebuilt it.
+    // Eigendecompositions happen only when a platform build meets a
+    // floorplan with no thermal model yet; a variant that reports the
+    // batch's resolve as a hit while its delta shows eigen work means the
+    // registry handed out an interned platform *and* rebuilt it.
     for e in &entries {
         if e.registry_hits > 0.0 && e.eigen_calls > 0.0 {
             report.push(

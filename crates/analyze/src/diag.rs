@@ -180,9 +180,10 @@ pub enum Code {
     BenchWindowEmpty,
     /// M110 — a warm-registry batch solve did eigendecomposition work: an
     /// access entry claims `registry_hits > 0` (the platform was served
-    /// interned) yet `eigen_calls > 0`. Eigendecompositions happen only in
-    /// `Platform::build`, so a warm resolve that rebuilt is lying about one
-    /// side or the other.
+    /// interned) yet `eigen_calls > 0`. Eigendecompositions happen only when
+    /// a platform build meets a floorplan with no thermal model yet, and a
+    /// warm resolve builds nothing, so a warm resolve that rebuilt is lying
+    /// about one side or the other.
     RegistryWarmRecompute,
     /// M111 — the variants of one batch disagree about the shared platform
     /// resolve: registry hit/miss attribution differs between variants, or

@@ -16,7 +16,8 @@ use crate::diag::{Code, Report};
 use mosc_sched::Platform;
 
 /// Most cores a platform may have (M010). `Platform::build` runs an O(n³)
-/// eigendecomposition, so the cap is checked before construction.
+/// eigendecomposition on a floorplan it has not seen, so the cap is checked
+/// before construction and before the thermal-model table is consulted.
 pub const MAX_CORES: usize = 64;
 
 /// Relative tolerance for the `G` symmetry check.

@@ -36,8 +36,8 @@ use crate::json::Value;
 use crate::solution::{check_solution, SolutionClaim, Tolerances};
 use crate::{platform as plat, schedule as sched};
 use mosc_power::{ModeTable, Params65nm, PowerModel, TransitionOverhead};
-use mosc_sched::{CoreSchedule, Platform, Schedule, Segment};
-use mosc_thermal::{Floorplan, RcConfig, RcNetwork, ThermalError, ThermalModel};
+use mosc_sched::{CoreSchedule, Platform, PlatformSpec, SchedError, Schedule, Segment};
+use mosc_thermal::{RcConfig, ThermalError};
 
 /// A structural problem with a spec (as opposed to a lint finding).
 #[derive(Debug, Clone)]
@@ -306,27 +306,26 @@ pub fn load_spec(text: &str) -> Result<SpecArtifact, SpecError> {
     Ok(SpecArtifact { platform, schedule: typed_schedule, report })
 }
 
+/// Builds the typed platform through [`Platform::build_with_power`], the
+/// path `Platform::build` takes too: the thermal model comes from the
+/// process-global table, so a floorplan, cooler and β seen before cost no
+/// eigendecomposition. A non-Hurwitz state matrix becomes M007 in `report`.
 fn build_platform(p: &PlatformParams, report: &mut Report) -> Result<Option<Platform>, SpecError> {
     let modes = ModeTable::from_levels(&p.levels).map_err(|e| structural(e.to_string()))?;
     let overhead = TransitionOverhead::new(p.tau).map_err(|e| structural(e.to_string()))?;
     let power = PowerModel::new(p.alpha, p.beta, p.gamma).map_err(|e| structural(e.to_string()))?;
-    let floorplan = if p.layers <= 1 {
-        Floorplan::grid(p.rows, p.cols, 4.0e-3, 4.0e-3)
-    } else {
-        Floorplan::stack3d(p.layers, p.rows, p.cols, 4.0e-3, 4.0e-3)
-    }
-    .map_err(|e| structural(e.to_string()))?;
-    let network = RcNetwork::build(&floorplan, &p.rc).map_err(|e| structural(e.to_string()))?;
-    match ThermalModel::new(network, p.beta) {
-        Ok(thermal) => Ok(Some(Platform::from_parts(
-            thermal,
-            power,
-            modes,
-            overhead,
-            p.t_max_c,
-            Params65nm::params().t_ambient_c,
-        ))),
-        Err(ThermalError::Unstable { max_eigenvalue }) => {
+    let spec = PlatformSpec {
+        rows: p.rows,
+        cols: p.cols,
+        layers: p.layers,
+        modes,
+        t_max_c: p.t_max_c,
+        rc: p.rc,
+        overhead,
+    };
+    match Platform::build_with_power(&spec, power) {
+        Ok(platform) => Ok(Some(platform)),
+        Err(SchedError::Thermal(ThermalError::Unstable { max_eigenvalue })) => {
             report.push(
                 Code::NotHurwitz,
                 "platform.thermal.A",
@@ -338,6 +337,8 @@ fn build_platform(p: &PlatformParams, report: &mut Report) -> Result<Option<Plat
             );
             Ok(None)
         }
+        // The thermal error's own text, without the schedule-level prefix.
+        Err(SchedError::Thermal(e)) => Err(structural(e.to_string())),
         Err(e) => Err(structural(e.to_string())),
     }
 }

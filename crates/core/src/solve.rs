@@ -252,12 +252,16 @@ pub struct KernelDelta {
     pub steady_state_calls: u64,
     /// General matrix products (`linalg.matmuls`).
     pub linalg_matmuls: u64,
-    /// Symmetric eigendecompositions (`eigen.calls`). These happen only in
-    /// `Platform::build`, so a solve on an already-built platform reports 0.
+    /// Symmetric eigendecompositions (`eigen.calls`). These happen only when
+    /// a platform build finds no thermal model for its floorplan, cooler and
+    /// β in `mosc-sched`'s process-global table — once per floorplan per
+    /// process — so a solve on an already-built platform reports 0, and so
+    /// does a cold build on a floorplan an earlier platform already used.
     pub eigen_calls: u64,
     /// Platform-registry hits (`registry.hits`): lookups served an interned
-    /// platform with its eigenbasis and T∞ memo already warm. A warm-registry solve must report `eigen_calls == 0` — the
-    /// `M110` analyzer lint enforces exactly that join.
+    /// platform with its eigenbasis and T∞ memo already warm. A
+    /// warm-registry solve must report `eigen_calls == 0` — the `M110`
+    /// analyzer lint enforces exactly that join.
     pub registry_hits: u64,
     /// Platform-registry misses (`registry.misses`): lookups that had to
     /// build the platform (cold key, eviction, or a verified collision).

@@ -10,7 +10,10 @@
 //!   the compressed schedule, whose periodic steady state is identical), plus
 //!   the per-core cyclic phase shifts the PCO variant searches over.
 //! * [`Platform`] — bundle of thermal model, power model, mode table,
-//!   transition-overhead model and the peak-temperature threshold.
+//!   transition-overhead model and the peak-temperature threshold. Platforms
+//!   on one floorplan, cooler and β share one thermal model through a
+//!   process-global [`VerifiedLru`], the content-addressed table the
+//!   workspace's caches are built on.
 //! * [`eval`] — eq. (3)/(4) machinery: periodic steady state
 //!   `T_ss(0) = (I−K)⁻¹·r`, stable-status traces, and peak temperature with
 //!   two paths: the Theorem-1 fast path for step-up schedules (peak = period
@@ -23,6 +26,7 @@
 #![warn(clippy::all)]
 
 pub mod eval;
+mod lru;
 pub mod period_map;
 mod platform;
 mod schedule;
@@ -30,8 +34,9 @@ pub mod sprint;
 pub mod text;
 
 pub use eval::{PeakReport, SteadyState};
+pub use lru::{fnv1a, ContentKey, VerifiedLru};
 pub use period_map::{ModalMap, PeriodMap, StepUpResponse};
-pub use platform::{Platform, PlatformSpec};
+pub use platform::{shared_thermal_models, Platform, PlatformSpec, THERMAL_MODEL_CAPACITY};
 pub use schedule::{CoreSchedule, Schedule, Segment};
 
 /// Numerical slack used when *accepting* a candidate schedule against

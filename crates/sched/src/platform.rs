@@ -1,12 +1,69 @@
-//! The platform bundle: thermal model + power model + DVFS table + limits.
+//! The platform bundle: thermal model + power model + DVFS table + limits,
+//! and the process-global table of thermal models those bundles share.
 
+use crate::lru::{ContentKey, VerifiedLru};
 use crate::{eval, PeakReport, Result, SchedError, Schedule};
 use mosc_power::{ModeTable, Params65nm, PowerModel, TransitionOverhead};
 use mosc_thermal::{Floorplan, RcConfig, RcNetwork, ThermalModel};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+
+/// Thermal models the process-global table behind [`Platform::build`] holds
+/// before evicting the least recently used. A model depends only on the
+/// floorplan, the cooler and β, and a service sees a handful of those; each
+/// model's memo of modal T∞ vectors is capped on its own.
+pub const THERMAL_MODEL_CAPACITY: usize = 16;
+
+/// The process-global thermal-model table.
+fn thermal_table() -> MutexGuard<'static, VerifiedLru<ThermalModel>> {
+    static TABLE: OnceLock<Mutex<VerifiedLru<ThermalModel>>> = OnceLock::new();
+    TABLE
+        .get_or_init(|| Mutex::new(VerifiedLru::new(THERMAL_MODEL_CAPACITY)))
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Number of thermal models the process-global table holds right now (at
+/// most [`THERMAL_MODEL_CAPACITY`]).
+#[must_use]
+pub fn shared_thermal_models() -> usize {
+    thermal_table().len()
+}
+
+/// The thermal model of `spec`'s floorplan and cooler with leakage
+/// sensitivity `beta`, from the process-global table. Eq. (2)'s `A` and its
+/// eigenbasis depend on nothing else, so the RC network, the Jacobi
+/// eigendecomposition and the LU are built only when the table has no model
+/// for the key. The lock is not held across a build: concurrent misses on
+/// one key may build redundantly (last store wins), never block each other.
+/// A failed build is not stored, so it fails the same way on every call.
+fn shared_thermal(spec: &PlatformSpec, beta: f64) -> mosc_thermal::Result<Arc<ThermalModel>> {
+    // `layers` 0 and 1 both mean the planar grid below.
+    let layers = spec.layers.max(1);
+    let key = ContentKey::new(format!(
+        "{}x{}x{layers};{:?};{:016x}",
+        spec.rows,
+        spec.cols,
+        spec.rc,
+        beta.to_bits()
+    ));
+    let hit = thermal_table().get(&key);
+    if let Some(model) = hit {
+        return Ok(model);
+    }
+    let floorplan = if layers == 1 {
+        Floorplan::grid(spec.rows, spec.cols, 4.0e-3, 4.0e-3)?
+    } else {
+        Floorplan::stack3d(layers, spec.rows, spec.cols, 4.0e-3, 4.0e-3)?
+    };
+    let network = RcNetwork::build(&floorplan, &spec.rc)?;
+    let model = Arc::new(ThermalModel::new(network, beta)?);
+    thermal_table().insert(&key, Arc::clone(&model));
+    Ok(model)
+}
 
 /// Declarative description of a platform, from which [`Platform::build`]
-/// assembles the thermal network and solvers. Mirrors the paper's Section VI
-/// experimental setup.
+/// assembles the platform around a shared thermal model. Mirrors the
+/// paper's Section VI experimental setup.
 #[derive(Debug, Clone)]
 pub struct PlatformSpec {
     /// Grid rows.
@@ -64,9 +121,13 @@ impl PlatformSpec {
 /// model, the discrete mode table, the transition-overhead model, and the
 /// peak-temperature threshold. This is the object every scheduling algorithm
 /// in `mosc-core` operates on.
+///
+/// The thermal model is held by `Arc`: platforms built by
+/// [`Platform::build`] or [`Platform::build_with_power`] on one floorplan,
+/// cooler and β share one model, whatever their levels, τ or `T_max`.
 #[derive(Debug)]
 pub struct Platform {
-    thermal: ThermalModel,
+    thermal: Arc<ThermalModel>,
     power: PowerModel,
     modes: ModeTable,
     overhead: TransitionOverhead,
@@ -81,36 +142,52 @@ impl Platform {
     /// # Errors
     /// Propagates floorplan/network/model construction failures.
     pub fn build(spec: &PlatformSpec) -> Result<Self> {
-        let params = Params65nm::params();
-        let floorplan = if spec.layers <= 1 {
-            Floorplan::grid(spec.rows, spec.cols, 4.0e-3, 4.0e-3)?
-        } else {
-            Floorplan::stack3d(spec.layers, spec.rows, spec.cols, 4.0e-3, 4.0e-3)?
-        };
-        let network = RcNetwork::build(&floorplan, &spec.rc)?;
-        let thermal = ThermalModel::new(network, params.power.beta)?;
+        Self::build_with_power(spec, Params65nm::params().power)
+    }
+
+    /// Assembles a platform from a spec and a power model, at the 65 nm
+    /// preset's ambient temperature. The thermal model uses the power
+    /// model's β and comes from the process-global table (capacity
+    /// [`THERMAL_MODEL_CAPACITY`]): it is built only the first time its
+    /// floorplan, cooler and β are seen, and shared after that.
+    ///
+    /// # Errors
+    /// Propagates floorplan/network/model construction failures, e.g.
+    /// [`mosc_thermal::ThermalError::Unstable`] for a β that breaks the
+    /// package's stability.
+    pub fn build_with_power(spec: &PlatformSpec, power: PowerModel) -> Result<Self> {
+        let thermal = shared_thermal(spec, power.beta)?;
+        let t_ambient_c = Params65nm::params().t_ambient_c;
         Ok(Self {
             thermal,
-            power: params.power,
+            power,
             modes: spec.modes.clone(),
             overhead: spec.overhead,
-            t_max: spec.t_max_c - params.t_ambient_c,
-            t_ambient_c: params.t_ambient_c,
+            t_max: spec.t_max_c - t_ambient_c,
+            t_ambient_c,
         })
     }
 
     /// Assembles a platform from explicit parts (for custom floorplans,
-    /// heterogeneous power models, tests).
+    /// heterogeneous power models, tests). A `ThermalModel` passed by value
+    /// belongs to this platform alone; pass an `Arc` to share one.
     #[must_use]
     pub fn from_parts(
-        thermal: ThermalModel,
+        thermal: impl Into<Arc<ThermalModel>>,
         power: PowerModel,
         modes: ModeTable,
         overhead: TransitionOverhead,
         t_max_c: f64,
         t_ambient_c: f64,
     ) -> Self {
-        Self { thermal, power, modes, overhead, t_max: t_max_c - t_ambient_c, t_ambient_c }
+        Self {
+            thermal: thermal.into(),
+            power,
+            modes,
+            overhead,
+            t_max: t_max_c - t_ambient_c,
+            t_ambient_c,
+        }
     }
 
     /// The thermal model.

@@ -12,8 +12,17 @@ use mosc_serve::Server;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 
-/// A platform no other test interns: the registry is process-global.
-const PLATFORM: &str = r#"{"rows":1,"cols":2,"levels":[0.6,1.3],"t_max_c":57.0}"#;
+/// A platform on a floorplan and cooler nothing else in this binary builds.
+/// Both the platform registry and the thermal-model table under it are
+/// process-global, and a thermal model is built once per floorplan, cooler
+/// and β: the cold batch below only carries the eigendecomposition if no
+/// earlier code in the process built this floorplan.
+const PLATFORM: &str =
+    r#"{"rows":2,"cols":1,"levels":[0.6,1.3],"t_max_c":57.0,"cooler":"responsive"}"#;
+/// The same floorplan and cooler under another `T_max`: a cold registry key
+/// whose thermal model is already built.
+const SAME_FLOORPLAN: &str =
+    r#"{"rows":2,"cols":1,"levels":[0.6,1.3],"t_max_c":59.0,"cooler":"responsive"}"#;
 
 fn roundtrip(addr: SocketAddr, line: &str) -> Value {
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -39,8 +48,9 @@ fn batch_access_entries_carry_registry_attribution_and_lint_clean() {
     let addr = server.local_addr();
     let join = std::thread::spawn(move || server.run().expect("serve loop"));
 
-    // Cold batch: the resolve builds the platform, so variant 0's entry
-    // carries the eigendecomposition work.
+    // Cold batch: the resolve builds the platform and, for a floorplan never
+    // seen before, its thermal model, so variant 0's entry carries the
+    // eigendecomposition work.
     let cold = format!(
         r#"{{"id":"cb","op":"solve_batch","platform":{PLATFORM},"variants":[{{"solver":"ao"}},{{"solver":"lns"}}]}}"#
     );
@@ -61,6 +71,14 @@ fn batch_access_entries_carry_registry_attribution_and_lint_clean() {
     assert_eq!(doc.get("registry").and_then(Value::as_str), Some("warm"), "{doc:?}");
     let results = doc.get("results").and_then(Value::as_array).expect("results");
     assert_eq!(results[0].get("cached").and_then(Value::as_bool), Some(false), "{doc:?}");
+
+    // Cold registry key on an already-built floorplan: the resolve builds a
+    // platform around the shared thermal model, with no eigendecomposition.
+    let cold_shared = format!(
+        r#"{{"id":"cf","op":"solve_batch","platform":{SAME_FLOORPLAN},"variants":[{{"solver":"ao"}},{{"solver":"pco"}}]}}"#
+    );
+    let doc = roundtrip(addr, &cold_shared);
+    assert_eq!(doc.get("registry").and_then(Value::as_str), Some("cold"), "{doc:?}");
 
     roundtrip(addr, r#"{"id":"q","op":"shutdown"}"#);
     join.join().expect("server thread");
@@ -89,6 +107,15 @@ fn batch_access_entries_carry_registry_attribution_and_lint_clean() {
                     assert_eq!(f(&doc, "eigen_calls"), 0.0, "{line}");
                 }
             }
+            "cf" => {
+                assert_eq!(f(&doc, "registry_misses"), 1.0, "cold batch: {line}");
+                assert_eq!(f(&doc, "registry_hits"), 0.0, "cold batch: {line}");
+                assert_eq!(
+                    f(&doc, "eigen_calls"),
+                    0.0,
+                    "the floorplan's thermal model was already built: {line}"
+                );
+            }
             "wh" | "wm" => {
                 assert_eq!(f(&doc, "registry_hits"), 1.0, "warm batch: {line}");
                 assert_eq!(f(&doc, "registry_misses"), 0.0, "warm batch: {line}");
@@ -105,7 +132,10 @@ fn batch_access_entries_carry_registry_attribution_and_lint_clean() {
             other => panic!("unexpected batch id {other}: {line}"),
         }
     }
-    assert_eq!(batch_lines, 5, "2 cold + 2 warm-hit + 1 warm-miss variants\n{log}");
+    assert_eq!(
+        batch_lines, 7,
+        "2 cold + 2 warm-hit + 1 warm-miss + 2 cold-on-a-built-floorplan variants\n{log}"
+    );
 
     // The analyzer's full telemetry suite — including the M110/M111
     // registry joins — must come back clean on a healthy log.

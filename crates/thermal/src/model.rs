@@ -9,8 +9,10 @@ use std::sync::{Arc, Mutex};
 /// ([`ThermalModel::modal_steady_state`]) instead of a fresh LU solve.
 static T_INF_CACHE_HITS: mosc_obs::Counter = mosc_obs::Counter::new("steady_state.cache_hits");
 
-/// Modal steady-state memo capacity: profiles are combinations of the
-/// discrete voltage levels, so in practice this is never reached.
+/// Modal steady-state memo capacity. Profiles are combinations of the
+/// discrete voltage levels; a model shared by platforms with other levels
+/// or power coefficients collects all of theirs, and the memo is cleared
+/// when full, so one shared model stays bounded.
 const T_INF_CACHE_CAP: usize = 4096;
 
 /// The linear time-invariant thermal model of eq. (2), assembled from an
@@ -28,7 +30,9 @@ const T_INF_CACHE_CAP: usize = 4096;
 /// with [`ThermalError::Unstable`] if `β` is large enough to break it
 /// (thermal runaway).
 ///
-/// The eigendecomposition is computed once. Every interval step
+/// The eigendecomposition is computed once per model, and `mosc-sched`
+/// shares one model among all platforms with the same floorplan, cooler and
+/// β, so it happens once per floorplan per process. Every interval step
 /// `T ↦ e^{A·l}(T − T∞) + T∞` then runs in its eigenbasis: one basis change
 /// in, an elementwise decay `e^{−λ·l}`, one basis change out
 /// ([`ThermalModel::advance`]), with `T∞` memoized per power profile. No
